@@ -53,7 +53,7 @@ from repro.obs import (
     parse_series_spec,
 )
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
-from repro.obs.tracing import SimClock, SpanRecord
+from repro.obs.tracing import SpanRecord
 from repro.sim.config import FleetConfig, SimConfig
 from repro.sim.engine import M5Options, RunResult, Simulation
 from repro.sim.perf import bandwidth_shares, contention_factors
@@ -231,12 +231,12 @@ def _splice_chain_stage(sim: Simulation, chain: DemotionChain) -> None:
     """Insert the chain stage right after the migrate stage, so chain
     time lands in the same epoch's migration accounting."""
 
-    def stage_chain(policy: object, st: object) -> None:
+    def _stage_chain(policy: object, st: object) -> None:
         chain.run_epoch(st.epoch, st.lpages)  # type: ignore[attr-defined]
 
     idx = sim.stages.index(sim._stage_migrate)
     sim.stages = (
-        sim.stages[: idx + 1] + (stage_chain,) + sim.stages[idx + 1 :]
+        sim.stages[: idx + 1] + (_stage_chain,) + sim.stages[idx + 1 :]
     )
 
 
@@ -337,10 +337,15 @@ class FleetSimulation:
         tenant_metrics: give every tenant its own metrics registry;
             tenant snapshots are merged into ``FleetResult.metrics``
             (and :meth:`merged_snapshot`) under a ``tenant`` label.
+            Like any engine with metrics on, each tenant records
+            ``pipeline_stage_seconds`` per stage, ``chain`` included.
         tenant_tracing: give every tenant a tracer; the lockstep loop
-            wraps each tenant-epoch in an ``epoch`` span (with the
-            async migration tick nested), collected by
-            :meth:`tenant_spans` for the per-tenant Chrome trace.
+            wraps each tenant-epoch in an ``epoch`` span over the
+            engine's stage spans: ``epoch`` → ``stage.*`` (``chain``
+            included) → ``migrate.tick`` in async mode.  Collected by
+            :meth:`tenant_spans` for the per-tenant Chrome trace;
+            completed spans also land on the tenant's timeline as
+            ``span`` events.
     """
 
     def __init__(
@@ -452,14 +457,7 @@ class FleetSimulation:
     def run(self) -> FleetResult:
         """Advance every tenant to trace exhaustion, then finalize."""
         sims = self.sims
-        states = [sim._initial_state() for sim in sims]
-        policies = [sim.epoch_policy for sim in sims]
-        tracers = []
-        for sim, st in zip(sims, states):
-            tracer = sim.obs.tracer if sim.obs.tracing_on else None
-            if tracer is not None:
-                tracer.sim_clock = SimClock(st)
-            tracers.append(tracer)
+        states = [sim.begin() for sim in sims]
         multi = self.fleet.tenants > 1
         demands: Optional[List[List[float]]] = None
         epoch = 0
@@ -477,13 +475,8 @@ class FleetSimulation:
                     continue
                 if factors is not None:
                     sim.perf.contention = factors[t]
-                tracer = tracers[t]
-                if tracer is not None:
-                    tracer.current_epoch = epoch
-                    with tracer.span("epoch"):
-                        sim.step_epoch(st, policies[t])
-                else:
-                    sim.step_epoch(st, policies[t])
+                with sim.obs.tracer.span("epoch"):
+                    sim.step_epoch(st)
                 new_demands.append(
                     epoch_demands_gbps(sim, st.perf.total_s)
                     if multi
@@ -607,13 +600,12 @@ def run_tenant_shard(
     bench, seed, sim, chain = _build_tenant(
         fleet, config, tenant, m5_options, obs=obs_t
     )
-    st = sim._initial_state()
-    policy = sim.epoch_policy
+    st = sim.begin()
     demands: List[List[float]] = []
     epochs = 0
     while st.remaining > 0:
         epochs += 1
-        sim.step_epoch(st, policy)
+        sim.step_epoch(st)
         demands.append(epoch_demands_gbps(sim, st.perf.total_s))
     result = sim.finalize(st)
     chain_stats = chain.stats if chain is not None else ChainStats()

@@ -47,6 +47,8 @@ class SpanRecord:
     start_sim_s: float
     dur_sim_s: float
     depth: int
+    #: The tracer's current epoch when the span closed, so a span a
+    #: driver opens around ``step_epoch`` carries the epoch it ran.
     epoch: int
     #: Wall-clock seconds spent in child spans (self = dur - child).
     child_wall_s: float = 0.0
@@ -80,7 +82,7 @@ class Span:
     """A live timed region; use via ``with tracer.span(name):``."""
 
     __slots__ = (
-        "tracer", "name", "attrs", "depth", "epoch",
+        "tracer", "name", "attrs", "depth",
         "_t0", "_sim0", "_child_wall_s", "dur_wall_s",
     )
 
@@ -89,7 +91,6 @@ class Span:
         self.name = name
         self.attrs = attrs
         self.depth = 0
-        self.epoch = 0
         self._t0 = 0.0
         self._sim0 = 0.0
         self._child_wall_s = 0.0
@@ -102,7 +103,6 @@ class Span:
     def __enter__(self) -> Span:
         tr = self.tracer
         self.depth = len(tr._stack)
-        self.epoch = tr.current_epoch
         tr._stack.append(self)
         self._sim0 = tr._sim_now()
         self._t0 = time.perf_counter()
@@ -122,7 +122,7 @@ class Span:
             start_sim_s=self._sim0,
             dur_sim_s=max(0.0, tr._sim_now() - self._sim0),
             depth=self.depth,
-            epoch=self.epoch,
+            epoch=tr.current_epoch,
             child_wall_s=self._child_wall_s,
             attrs=self.attrs,
         )
@@ -173,7 +173,8 @@ class Tracer:
         self.publish_spans = True
         self.spans: List[SpanRecord] = []
         self.origin = time.perf_counter()
-        #: Current epoch, stamped onto spans (the engine maintains it).
+        #: Current epoch, stamped onto spans as they close (the
+        #: engine's ``step_epoch`` maintains it).
         self.current_epoch = 0
         #: Simulated clock; the engine wires a :class:`SimClock`.
         self.sim_clock: Optional[Callable[[], float]] = None

@@ -184,12 +184,11 @@ class ServiceStream:
             policy=spec.policy,
             obs=Observability(metrics=True, tracing=False),
         )
-        self.st = self.sim._initial_state()
+        self.st = self.sim.begin()
         # The engine budgets a fresh state with the config's trace
         # length; the scheduler owns the budget here, one round at a
         # time, so the stream starts paused.
         self.st.remaining = 0
-        self.policy = self.sim.epoch_policy
         self.result: Optional[RunResult] = None
 
     # -- restore path ---------------------------------------------------
@@ -209,9 +208,7 @@ class ServiceStream:
                 "had consumed (trace truncated or replaced?)"
             )
         stream.sim = sim
-        stream.st = sim._resume_state
-        sim._resume_state = None
-        stream.policy = sim.epoch_policy
+        stream.st = sim.begin()
         stream.result = None
         return stream
 
@@ -249,7 +246,7 @@ class ServiceStream:
             return 0
         self.st.remaining = n
         while self.st.remaining > 0:
-            self.sim.step_epoch(self.st, self.policy)
+            self.sim.step_epoch(self.st)
         return n
 
     @property

@@ -36,12 +36,13 @@ attached by default and surfaces as ``RunResult.timeline``.
 Passing an :class:`~repro.obs.Observability` bundle turns on the
 observability layer: the engine, manager, async migration engine, and
 CXL controller register counters/gauges/histograms into its metrics
-registry (snapshotted onto ``RunResult.metrics``), and the run loop
-wraps every stage in a tracing span (wall + simulated time, with the
-async migration tick nested underneath ``stage.migrate``) for the
-per-run flame table and Chrome-trace export.  Without it, the shared
-disabled instance makes every instrument a no-op and the loop runs
-the uninstrumented seed path.
+registry (snapshotted onto ``RunResult.metrics``), and
+:meth:`Simulation.step_epoch` wraps every stage in a tracing span
+(wall + simulated time, with the async migration tick nested
+underneath ``stage.migrate``) and a ``pipeline_stage_seconds``
+observation, for every driver alike: ``run``, fleet tenants and
+service streams.  Without it, the shared disabled instance makes every
+instrument a no-op and the epoch loop reads no clock at all.
 
 ``config.migrate = False`` selects the identification-only mode
 (§4.1 S1): policies build their hot-page lists but nothing moves, so
@@ -344,8 +345,8 @@ class Simulation:
         #: truncated capture never replays silently as periodic.
         self._tracks_wraps = hasattr(workload, "wraps")
         self._replay_wraps_prev = 0
-        #: Epoch state restored by :meth:`load_state`; ``run`` resumes
-        #: from it instead of starting fresh.
+        #: Epoch state restored by :meth:`load_state`; :meth:`begin`
+        #: hands it out instead of a fresh one.
         self._resume_state: Optional[_EpochState] = None
         #: Checkpoints written over the simulation's lifetime
         #: (survives resume — the count keeps climbing).
@@ -398,8 +399,6 @@ class Simulation:
             self._stage_perf,
             self._stage_checkpoint,
         )
-        self._stage_names = ("trace", "translate", "snoop", "policy",
-                             "migrate", "perf", "checkpoint")
         #: Per-epoch invariant checking (see :mod:`repro.verify`); the
         #: checker rides the pipeline as an extra stage so the default
         #: (unchecked) loop stays exactly the frozen-golden sequence.
@@ -409,7 +408,6 @@ class Simulation:
 
             self.checker = InvariantChecker(self)
             self.stages += (self._stage_verify,)
-            self._stage_names += ("verify",)
         #: The live-observability stack (see :mod:`repro.obs.live`):
         #: a per-epoch ring recorder and an optional SLO watchdog,
         #: riding the pipeline as one appended ``record`` stage — like
@@ -436,7 +434,6 @@ class Simulation:
                     bus=self.telemetry,
                 )
             self.stages += (self._stage_record,)
-            self._stage_names += ("record",)
         #: Periodic state persistence (checkpoint/resume): every
         #: ``checkpoint_every`` epochs the full simulation state is
         #: pickled atomically to ``checkpoint_path``.  Appended last so
@@ -445,7 +442,6 @@ class Simulation:
         #: exactly the frozen golden sequence.
         if self.config.checkpoint_every > 0 and self.config.checkpoint_path:
             self.stages += (self._stage_persist,)
-            self._stage_names += ("persist",)
         self._register_engine_metrics()
         self.result: Optional[RunResult] = None
 
@@ -490,13 +486,9 @@ class Simulation:
             "telemetry_ring_dropped_total",
             "Timeline events evicted from the ring-buffer sink",
         )
-        stage_seconds = reg.histogram(
+        self._m_stage_seconds = reg.histogram(
             "pipeline_stage_seconds", "Wall-clock spent per pipeline stage",
             labels=("stage",),
-        )
-        self._stage_obs = tuple(
-            (f"stage.{name}", stage_seconds.labels(stage=name))
-            for name in self._stage_names
         )
 
     # ------------------------------------------------------------------
@@ -950,17 +942,37 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        policy = self.epoch_policy
+        """Step epochs until the trace budget is spent, then finalize.
+
+        The ``run`` root span wraps the loop, so the per-stage spans
+        are its children and the flame table's stage rows account for
+        ≥95% of the measured run wall-clock.
+        """
+        st = self.begin()
+        with self.obs.tracer.span("run"):
+            while st.remaining > 0:
+                self.step_epoch(st)
+        return self.finalize(st)
+
+    def begin(self) -> _EpochState:
+        """The epoch state every driver steps: the pending resume state
+        left by :meth:`load_state`, else a fresh one.
+
+        Also binds the tracer to it (simulated clock, telemetry bus).
+        Every driver — :meth:`run`, the fleet's lockstep loop and its
+        tenant shards, service streams — calls ``begin`` once, then
+        :meth:`step_epoch` per epoch, then :meth:`finalize`.
+        """
         if self._resume_state is not None:
             st, self._resume_state = self._resume_state, None
         else:
             st = self._initial_state()
-        if self.obs.enabled:
-            self._run_instrumented(policy, st)
-        else:
-            while st.remaining > 0:
-                self.step_epoch(st, policy)
-        return self.finalize(st)
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.sim_clock = SimClock(st)
+            if tracer.bus is None:
+                tracer.bus = self.telemetry
+        return st
 
     def _initial_state(self) -> _EpochState:
         """Fresh run-scoped pipeline state (one per run)."""
@@ -980,25 +992,35 @@ class Simulation:
             ),
         )
 
-    def step_epoch(
-        self, st: _EpochState, policy: Optional[EpochPolicy] = None
-    ) -> None:
-        """Advance the pipeline by exactly one epoch.
+    def step_epoch(self, st: _EpochState) -> None:
+        """Advance the pipeline by exactly one epoch: run
+        :attr:`stages` in order.
 
-        The fleet drives tenants in lockstep through this entry point;
-        ``run`` is precisely ``step_epoch`` until the trace budget is
-        spent, then :meth:`finalize`.
+        The only place an epoch runs, whichever driver calls it.  With
+        observability on, each stage runs inside a ``stage.<name>``
+        span and its wall-clock is observed into
+        ``pipeline_stage_seconds{stage=<name>}``.  The name comes from
+        the stage callable (``_stage_trace`` → ``trace``, the fleet's
+        ``_stage_chain`` → ``chain``); a callable without a
+        ``__name__`` is labelled by its type.  With observability off
+        no clock is read.
         """
-        if policy is None:
-            policy = self.epoch_policy
+        policy = self.epoch_policy
         st.epoch += 1
-        # No-op with observability off; with it on, externally driven
-        # runs (fleet tenants, service streams) must count epochs the
-        # same way the instrumented run loop does, or a checkpoint
-        # taken under one driver diverges from the other.
         self._m_epochs.inc()
+        if not self.obs.enabled:
+            for stage in self.stages:
+                stage(policy, st)
+            return
+        tracer = self.obs.tracer
+        tracer.current_epoch = st.epoch
         for stage in self.stages:
-            stage(policy, st)
+            name = getattr(stage, "__name__", type(stage).__name__)
+            name = name.removeprefix("_stage_")
+            t0 = wall_clock()
+            with tracer.span(f"stage.{name}"):
+                stage(policy, st)
+            self._m_stage_seconds.labels(stage=name).observe(wall_clock() - t0)
 
     def finalize(self, st: _EpochState) -> RunResult:
         """Assemble the RunResult after the epoch loop finishes."""
@@ -1053,30 +1075,6 @@ class Simulation:
             self.result.metrics = self.obs.snapshot()
         return self.result
 
-    def _run_instrumented(self, policy: EpochPolicy, st: _EpochState) -> None:
-        """The epoch loop with stage spans and stage-latency metrics.
-
-        Kept as a separate loop so the observability-off path stays
-        exactly the seed loop (no per-stage clock reads at all).  The
-        ``run`` root span wraps the whole loop; per-stage spans are its
-        children, so the flame table's stage rows account for ≥95% of
-        the measured run wall-clock.
-        """
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.sim_clock = SimClock(st)
-            if tracer.bus is None:
-                tracer.bus = self.telemetry
-        with tracer.span("run"):
-            while st.remaining > 0:
-                st.epoch += 1
-                tracer.current_epoch = st.epoch
-                self._m_epochs.inc()
-                for (name, hist), stage in zip(self._stage_obs, self.stages):
-                    t0 = wall_clock()
-                    with tracer.span(name):
-                        stage(policy, st)
-                    hist.observe(wall_clock() - t0)
 
 
 def run_policy(

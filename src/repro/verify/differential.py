@@ -590,7 +590,7 @@ def fleet_oracle(
 WALL_CLOCK_FAMILIES = frozenset({"pipeline_stage_seconds"})
 
 
-def _metric_mismatches(a: Dict[str, Any], b: Dict[str, Any]) -> int:
+def metric_mismatches(a: Dict[str, Any], b: Dict[str, Any]) -> int:
     """Families whose samples differ, ignoring wall-clock recorders."""
     fa = {m["name"]: m for m in a.get("metrics", [])
           if m["name"] not in WALL_CLOCK_FAMILIES}
@@ -669,7 +669,7 @@ def resume_oracle(
             + abs(len(full.timeline) - len(resumed.timeline)),
         )
         report.add(f"{engine}_metric_mismatches", 0,
-                   _metric_mismatches(full.metrics, resumed.metrics))
+                   metric_mismatches(full.metrics, resumed.metrics))
         # The resume must actually re-run a tail, or the oracle
         # proves nothing: the cadence is chosen not to divide the
         # epoch count.

@@ -8,7 +8,11 @@ from repro.fleet import FleetConfig, FleetSimulation, run_fleet, run_tenant_shar
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.sweep import cell_seed, collect_fleet
-from repro.verify.differential import diff_run_results, fleet_oracle
+from repro.verify.differential import (
+    diff_run_results,
+    fleet_oracle,
+    metric_mismatches,
+)
 from repro.workloads import registry
 
 ACCESSES = 60_000
@@ -187,19 +191,16 @@ def test_merged_snapshot_carries_per_tenant_labels():
 
 
 def test_sharded_fleet_metrics_match_lockstep():
-    from repro.obs import flatten_snapshot
-
     fleet = FleetConfig(tenants=2, tiers=2, bench="mcf,roms")
     config = small_config()
     lockstep = run_fleet(fleet, config, with_metrics=True)
     sharded = collect_fleet(fleet, config, jobs=2, with_metrics=True)
-    assert flatten_snapshot(sharded.metrics) == flatten_snapshot(
-        lockstep.metrics
-    )
+    # Tenant engines time their stages; wall-clock families differ.
+    assert metric_mismatches(sharded.metrics, lockstep.metrics) == 0
 
 
 def test_served_fleet_final_snapshot_matches_unserved():
-    from repro.obs import Observability, flatten_snapshot
+    from repro.obs import Observability
     from repro.obs.live import ObsServer
 
     fleet = FleetConfig(tenants=2, tiers=2, bench="mcf")
@@ -218,9 +219,7 @@ def test_served_fleet_final_snapshot_matches_unserved():
             fsim.run()
         return fsim.merged_snapshot()
 
-    assert flatten_snapshot(final_snapshot(True)) == flatten_snapshot(
-        final_snapshot(False)
-    )
+    assert metric_mismatches(final_snapshot(True), final_snapshot(False)) == 0
 
 
 def test_tenant_spans_one_group_per_traced_tenant():

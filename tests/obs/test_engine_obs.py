@@ -1,10 +1,21 @@
 """Engine integration: observability must measure, never perturb."""
 
+import dataclasses
+
+import pytest
+
+from repro.fleet import FleetConfig, FleetSimulation
+from repro.fleet.sim import _build_tenant
 from repro.obs import Observability
 from repro.obs.exporters import parse_prometheus, to_prometheus
+from repro.service import Service, StreamSpec
 from repro.sim import SimConfig, Simulation
 from repro.sim.sweep import run_one
-from repro.workloads import uniform_workload
+from repro.workloads import record, uniform_workload
+
+#: The default pipeline, in order; 3-tier fleet tenants add ``chain``.
+PIPELINE = {"trace", "translate", "snoop", "policy", "migrate", "perf",
+            "checkpoint"}
 
 
 def small_config(**kw):
@@ -28,6 +39,62 @@ def run(policy="m5-hpt", obs=None, **cfg):
         obs=obs,
     )
     return sim.run()
+
+
+# Drivers for the stage-histogram test: each runs one way of stepping
+# the pipeline with metrics on and returns (registries, epochs per
+# registry, stage labels every registry must carry).
+
+
+def drive_run(tmp_path):
+    obs = Observability(metrics=True, tracing=False)
+    run(obs=obs)
+    return [obs.registry], small_config().num_epochs, PIPELINE
+
+
+def fleet_config(**kw):
+    return SimConfig(total_accesses=60_000, chunk_size=15_000, seed=1, **kw)
+
+
+def drive_three_tier_tenant(tmp_path):
+    """``Simulation.run`` on a fleet tenant with the chain spliced in:
+    metrics on must run every stage (the checkpoint stage last) and
+    leave the result equal to the obs-off twin's."""
+    fleet = FleetConfig(tenants=1, tiers=3, bench="mcf")
+    config = fleet_config(migrate=False)
+    obs = Observability(metrics=True, tracing=False)
+    sim = _build_tenant(fleet, config, 0, obs=obs)[2]
+    twin = _build_tenant(fleet, config, 0)[2]
+    measured = dataclasses.asdict(sim.run())
+    plain = dataclasses.asdict(twin.run())
+    measured.pop("metrics")
+    plain.pop("metrics")
+    assert plain["ratio_checkpoints"]
+    assert measured == plain
+    return [obs.registry], config.num_epochs, PIPELINE | {"chain"}
+
+
+def drive_fleet(tmp_path):
+    fsim = FleetSimulation(
+        FleetConfig(tenants=2, tiers=3, bench="mcf,roms"),
+        fleet_config(),
+        tenant_metrics=True,
+    )
+    result = fsim.run()
+    registries = [obs_t.registry for obs_t in fsim.tenant_obs]
+    return registries, result.epochs, PIPELINE | {"chain"}
+
+
+def drive_service(tmp_path):
+    chunk = small_config().chunk_size
+    n_chunks = 3
+    path = record(uniform_workload(footprint_pages=1024, seed=0),
+                  n_chunks * chunk, tmp_path / "s.rtrace", chunk_size=chunk)
+    spec = StreamSpec("s", str(path), budget=chunk)
+    with Service([spec], small_config()) as service:
+        service.run()
+        registries = [stream.sim.obs.registry for stream in service.streams]
+    return registries, n_chunks, PIPELINE
 
 
 class TestEquivalence:
@@ -72,13 +139,21 @@ class TestEngineMetrics:
                  + flat["sim_accesses_total{tier=\"cxl\"}"])
         assert total == float(small_config().total_accesses)
 
-    def test_stage_histogram_counts_every_epoch(self):
-        obs = Observability(metrics=True, tracing=False)
-        run(obs=obs)
-        fam = obs.registry.get("pipeline_stage_seconds")
-        epochs = small_config().num_epochs
-        for labels, hist in fam.series():
-            assert hist.count == epochs, labels
+    @pytest.mark.parametrize(
+        "driver",
+        [drive_run, drive_three_tier_tenant, drive_fleet, drive_service],
+        ids=["run", "three-tier-tenant", "fleet", "service"],
+    )
+    def test_stage_histogram_counts_every_epoch(self, driver, tmp_path):
+        """Whichever driver steps the pipeline, every stage runs and is
+        timed exactly once per epoch."""
+        registries, epochs, stages = driver(tmp_path)
+        for reg in registries:
+            fam = reg.get("pipeline_stage_seconds")
+            series = fam.series()
+            assert {labels["stage"] for labels, _ in series} == stages
+            for labels, hist in series:
+                assert hist.count == epochs, labels
 
     def test_async_outcome_counters_match_extra(self):
         obs = Observability(metrics=True, tracing=False)

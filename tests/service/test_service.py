@@ -24,7 +24,7 @@ from repro.service import (
     open_source,
 )
 from repro.sim import CheckpointError, SimConfig
-from repro.verify.differential import _metric_mismatches
+from repro.verify.differential import metric_mismatches
 from repro.workloads import TraceWriter, record, save_trace, uniform_workload
 
 CHUNK = 4096
@@ -54,7 +54,7 @@ def assert_results_bit_identical(a, b):
         db = dataclasses.asdict(b[name])
         ma, mb = da.pop("metrics"), db.pop("metrics")
         assert da == db, f"stream {name!r} diverged"
-        assert _metric_mismatches(ma, mb) == 0, f"stream {name!r} metrics"
+        assert metric_mismatches(ma, mb) == 0, f"stream {name!r} metrics"
 
 
 class TestStreamWorkload:

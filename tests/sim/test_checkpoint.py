@@ -21,7 +21,7 @@ from repro.sim import (
     SimConfig,
     Simulation,
 )
-from repro.verify.differential import WALL_CLOCK_FAMILIES, _metric_mismatches
+from repro.verify.differential import WALL_CLOCK_FAMILIES, metric_mismatches
 from repro.workloads import uniform_workload
 
 ENGINES = ("reference", "batched")
@@ -57,7 +57,7 @@ def assert_bit_identical(a, b):
     db = dataclasses.asdict(b)
     ma, mb = da.pop("metrics"), db.pop("metrics")
     assert da == db
-    assert _metric_mismatches(ma, mb) == 0
+    assert metric_mismatches(ma, mb) == 0
 
 
 class TestKillAndResume:
@@ -82,14 +82,14 @@ class TestKillAndResume:
             checkpoint_path=ckpt,
         )
         sim = make_sim(cfg)
-        st = sim._initial_state()
+        st = sim.begin()
         # Abort somewhere past the first checkpoint but before the
         # end — seeded, so the "random" epoch is reproducible.
         kill_epoch = random.Random(f"{engine}/{mode}").randrange(
             self.EVERY, cfg.num_epochs
         )
         for _ in range(kill_epoch):
-            sim.step_epoch(st, sim.epoch_policy)
+            sim.step_epoch(st)
         del sim, st  # the kill: state vanishes, only the file survives
 
         resumed_sim = Simulation.load_state(ckpt)
@@ -125,7 +125,7 @@ class TestCheckpointMechanics:
             policy="none",
             obs=Observability(metrics=True),  # tracing defaults on
         )
-        st = sim._initial_state()
+        st = sim.begin()
         with pytest.raises(CheckpointError, match="tracing"):
             sim.save_state(tmp_path / "t.ckpt", st)
 
@@ -149,14 +149,14 @@ class TestCheckpointMechanics:
     def test_save_is_atomic_no_tmp_left_behind(self, tmp_path):
         ckpt = tmp_path / "atomic.ckpt"
         sim = make_sim(make_config(total_accesses=40_000))
-        st = sim._initial_state()
-        sim.step_epoch(st, sim.epoch_policy)
+        st = sim.begin()
+        sim.step_epoch(st)
         sim.save_state(ckpt, st)
         assert ckpt.exists()
         assert not (tmp_path / "atomic.ckpt.tmp").exists()
         # Overwriting is also atomic: the new snapshot replaces the
         # old in one rename.
-        sim.step_epoch(st, sim.epoch_policy)
+        sim.step_epoch(st)
         sim.save_state(ckpt, st)
         assert Simulation.load_state(ckpt).resumed_epoch == 2
 
@@ -175,8 +175,8 @@ class TestCheckpointMechanics:
 
         monkeypatch.setattr(os, "fsync", counting_fsync)
         sim = make_sim(make_config(total_accesses=40_000))
-        st = sim._initial_state()
-        sim.step_epoch(st, sim.epoch_policy)
+        st = sim.begin()
+        sim.step_epoch(st)
         sim.save_state(tmp_path / "durable.ckpt", st)
         assert synced, "save_state published the snapshot without fsync"
 
