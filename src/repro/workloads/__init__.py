@@ -22,6 +22,7 @@ from repro.workloads.wordmap import (
     addresses_from,
 )
 from repro.workloads.zipf import (
+    InverseCdf,
     blend,
     mixture_popularity,
     sample_pages,
@@ -71,6 +72,7 @@ __all__ = [
     "WordDensityProfile",
     "WordSelector",
     "addresses_from",
+    "InverseCdf",
     "blend",
     "mixture_popularity",
     "sample_pages",

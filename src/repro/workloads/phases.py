@@ -18,11 +18,11 @@ Three models cover the behaviours the paper's benchmarks exhibit:
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.workloads.zipf import sample_pages
+from repro.workloads.zipf import InverseCdf
 
 
 class PhaseModel(abc.ABC):
@@ -38,6 +38,8 @@ class PhaseModel(abc.ABC):
         self.popularity = popularity / total
         self.num_pages = popularity.size
         self._accesses_emitted = 0
+        # Derived from the popularity on the first draw; never pickled.
+        self._inverse: Optional[InverseCdf] = None
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         pages = self._sample(count, rng)
@@ -50,12 +52,24 @@ class PhaseModel(abc.ABC):
     def reset(self) -> None:
         self._accesses_emitted = 0
 
+    def _sample_popularity(self, count: int,
+                           rng: np.random.Generator) -> np.ndarray:
+        """``count`` draws from :attr:`popularity`."""
+        if self._inverse is None:
+            self._inverse = InverseCdf(self.popularity)
+        return self._inverse.sample(count, rng)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state["_inverse"] = None
+        return state
+
 
 class Stationary(PhaseModel):
     """Time-invariant popularity."""
 
     def _sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return sample_pages(self.popularity, count, rng)
+        return self._sample_popularity(count, rng)
 
 
 class RotatingWorkingSet(PhaseModel):
@@ -88,18 +102,26 @@ class RotatingWorkingSet(PhaseModel):
         self.boost = float(boost)
         self.accesses_per_phase = int(accesses_per_phase)
         self.stride = max(1, int(self.window_pages * stride_fraction))
+        self._inverse_start = -1
 
     def current_window_start(self) -> int:
         phase = self._accesses_emitted // self.accesses_per_phase
         return (phase * self.stride) % self.num_pages
 
-    def _sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        start = self.current_window_start()
+    def window_popularity(self, start: int) -> np.ndarray:
+        """The popularity with the window at ``start`` boosted."""
         weights = self.popularity.copy()
         idx = (start + np.arange(self.window_pages)) % self.num_pages
         weights[idx] *= self.boost
         weights /= weights.sum()
-        return sample_pages(weights, count, rng)
+        return weights
+
+    def _sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        start = self.current_window_start()
+        if self._inverse is None or self._inverse_start != start:
+            self._inverse = InverseCdf(self.window_popularity(start))
+            self._inverse_start = start
+        return self._inverse.sample(count, rng)
 
 
 class SweepMix(PhaseModel):
@@ -151,7 +173,7 @@ class SweepMix(PhaseModel):
         n_hot = count - n_sweep
         parts = []
         if n_hot:
-            parts.append(sample_pages(self.popularity, n_hot, rng))
+            parts.append(self._sample_popularity(n_hot, rng))
         if n_sweep:
             # Consecutive page touches marching through the footprint;
             # each page in the current stretch is hit `hits_per_page`

@@ -1,10 +1,18 @@
 """Shared fixtures for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.memory.address import PAGE_SIZE, AddressRegion
 from repro.memory.tiers import TieredMemory, NodeKind
+
+# ``HYPOTHESIS_PROFILE=ci-deep`` raises the example budget of every
+# property test that does not pin its own; tier-1 keeps the default.
+settings.register_profile("ci-deep", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture
