@@ -66,7 +66,10 @@ def proportional_shares(
         total += float(d)
     if total <= 0.0:
         return [0.0 for _ in demands]
-    return [float(capacity) * float(d) / total for d in demands]
+    # Fraction first: ``capacity * d`` rounds away the precision of a
+    # subnormal demand (1.5 * 5e-324 == 1e-323), so the product form
+    # could grant more than the whole channel.
+    return [float(capacity) * (float(d) / total) for d in demands]
 
 
 def weighted_fair_shares(

@@ -74,6 +74,14 @@ def test_shares_never_exceed_capacity(demands, data, qos, capacity):
     assert sum(shares) <= capacity * (1.0 + 1e-9)
 
 
+def test_subnormal_demand_gets_at_most_the_channel():
+    # The falsifying draw of test_shares_never_exceed_capacity: the
+    # product form granted 1.5 * 5e-324 / 5e-324 == 2.0 of a 1.5 channel.
+    assert bandwidth_shares([5e-324], [1.0], 1.5, qos=False) == [1.5]
+    shares = bandwidth_shares([5e-324, 5e-324], [1.0, 1.0], 1.5, qos=False)
+    assert sum(shares) <= 1.5
+
+
 def test_water_filling_insulates_light_tenants():
     # The 10 GB/s tenant fits under its fair slice and is untouched;
     # the heavy tenants split the surplus by weight.
