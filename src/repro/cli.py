@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import time
-from typing import List, Optional
+import typing
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import (
     AccessCdf,
@@ -51,6 +53,7 @@ from repro.obs import (
 from repro.sim import (
     ALL_POLICIES,
     CheckpointError,
+    FleetConfig,
     JsonlSink,
     SimConfig,
     Simulation,
@@ -61,33 +64,94 @@ from repro.sim import (
     normalized,
     run_matrix,
 )
+from repro.sim.config import Flag
 from repro.workloads import registry
 
 
-def _config_from(args) -> SimConfig:
-    return SimConfig(
-        total_accesses=args.accesses,
-        chunk_size=args.chunk,
-        trace_subsample=args.subsample,
-        migrate=not getattr(args, "no_migrate", False),
-        checkpoints=getattr(args, "checkpoints", 1) or 1,
-        migration_mode=getattr(args, "migration_mode", "instant"),
-        migration_inflight_budget=getattr(args, "mig_budget", 128),
-        migration_queue_capacity=getattr(args, "mig_queue_cap", 4096),
-        migration_abort_rate=getattr(args, "mig_abort_rate", 0.0),
-        migration_max_retries=getattr(args, "mig_max_retries", 3),
-        migration_copy_gbps=getattr(args, "mig_copy_gbps", 0.0),
-        migration_enomem_policy=getattr(args, "mig_enomem", "demote-first"),
-        check_invariants=getattr(args, "check_invariants", False),
-        engine=getattr(args, "engine", "batched"),
-        serve=getattr(args, "serve", False),
-        serve_port=getattr(args, "serve_port", 0),
-        record_series=getattr(args, "record_series", None) or "",
-        record_epochs=getattr(args, "record_epochs", 4096),
-        slo_rules=getattr(args, "slo_rules", None) or "",
-        checkpoint_every=getattr(args, "checkpoint_every", 0),
-        checkpoint_path=getattr(args, "checkpoint", None) or "",
-    )
+#: The config fields each subcommand exposes as flags, in ``--help``
+#: order.  Option, help and CLI default live on the field itself (see
+#: ``repro.sim.config.flag``).
+TRACE_FIELDS = ("total_accesses", "chunk_size", "trace_subsample", "seed",
+                "engine")
+MIGRATION_FIELDS = (
+    "migration_mode", "migration_inflight_budget",
+    "migration_queue_capacity", "migration_abort_rate",
+    "migration_max_retries", "migration_copy_gbps",
+    "migration_enomem_policy",
+)
+LIVE_FIELDS = ("serve", "serve_port")
+RECORD_FIELDS = ("record_series", "record_epochs", "slo_rules")
+RUN_FIELDS = (TRACE_FIELDS + MIGRATION_FIELDS + LIVE_FIELDS + RECORD_FIELDS
+              + ("migrate", "check_invariants", "checkpoints",
+                 "checkpoint_path", "checkpoint_every"))
+COMPARE_FIELDS = TRACE_FIELDS + MIGRATION_FIELDS
+SWEEP_FIELDS = TRACE_FIELDS + ("migrate",) + MIGRATION_FIELDS + LIVE_FIELDS
+FLEET_SIM_FIELDS = (TRACE_FIELDS + ("check_invariants",) + LIVE_FIELDS
+                    + RECORD_FIELDS)
+FLEET_FIELDS = ("tenants", "tiers", "bench", "policy", "weights", "qos",
+                "pooled_capacity_gb", "chain_headroom_frac",
+                "chain_pull_budget")
+
+
+def _cli_fields(cls) -> Dict[str, Tuple[dataclasses.Field, Flag]]:
+    """``cls``'s flagged fields: name -> (field, its :class:`Flag`)."""
+    return {
+        f.name: (f, f.metadata["cli"])
+        for f in dataclasses.fields(cls)
+        if isinstance(f.metadata.get("cli"), Flag)
+    }
+
+
+def add_config_args(parser: argparse.ArgumentParser, cls,
+                    names: Sequence[str]) -> None:
+    """Add the flags of ``cls``'s fields ``names`` to ``parser``."""
+    flagged = _cli_fields(cls)
+    hints = typing.get_type_hints(cls)
+    for name in names:
+        f, meta = flagged[name]
+        if hints[name] is bool:
+            parser.add_argument(meta.option, action="store_true",
+                                help=meta.help)
+            continue
+        parser.add_argument(
+            meta.option,
+            type=None if hints[name] is str else hints[name],
+            default=meta.default(f.default),
+            choices=meta.choices,
+            metavar=meta.metavar,
+            help=meta.help,
+        )
+
+
+def _config_kwargs(args: argparse.Namespace, cls) -> Dict[str, Any]:
+    """The ``cls`` field values set by the flags parsed into ``args``."""
+    parsed = vars(args)
+    kwargs = {}
+    for name, (f, meta) in _cli_fields(cls).items():
+        value = parsed.get(meta.dest)
+        if value is None:
+            continue  # flag absent on this subcommand, or left unset
+        # A switch on a True-default field inverts it (--no-migrate).
+        kwargs[name] = (not value) if f.default is True else value
+    return kwargs
+
+
+def _checked(build):
+    """``build()``; a value ``__post_init__`` rejects is a usage error."""
+    try:
+        return build()
+    except ValueError as exc:
+        print(f"error: {exc}")
+        raise SystemExit(2) from None
+
+
+def config_from(args: argparse.Namespace, cls, **fixed):
+    """Build ``cls`` from the flags in ``args``; ``fixed`` pins fields.
+
+    A value the config rejects prints ``error: ...`` and exits 2.
+    """
+    return _checked(functools.partial(cls, **_config_kwargs(args, cls),
+                                      **fixed))
 
 
 def cmd_list(args) -> int:
@@ -164,7 +228,10 @@ def _export_recorder(path: str, recorder) -> None:
 
 
 def cmd_run(args) -> int:
-    resume = getattr(args, "resume", None)
+    # Built on both paths: the live endpoint belongs to this process,
+    # so --serve/--serve-port apply to a resumed run too.
+    config = config_from(args, SimConfig)
+    resume = args.resume
     if resume:
         # The checkpoint carries the whole run: workload, config,
         # policy, telemetry bus (a path-backed JsonlSink reopens in
@@ -185,9 +252,9 @@ def cmd_run(args) -> int:
             print("error: --bench is required (unless resuming with "
                   "--resume)")
             return 2
-        workload = registry.build(args.bench, seed=args.seed)
+        workload = registry.build(args.bench, seed=config.seed)
         telemetry = None
-        if getattr(args, "timeline", None):
+        if args.timeline:
             try:
                 with open(args.timeline, "w"):  # fail fast on a bad path
                     pass
@@ -195,13 +262,13 @@ def cmd_run(args) -> int:
                 print(f"cannot write timeline file: {exc}")
                 return 2
             telemetry = TelemetryBus([JsonlSink(args.timeline)])
-        live = bool(args.serve or args.record_series or args.slo_rules)
+        live = bool(config.serve or config.record_series or config.slo_rules)
         obs = None
         if args.metrics or args.trace or live:
             obs = Observability(metrics=bool(args.metrics) or live,
                                 tracing=bool(args.trace))
         sim = Simulation(
-            workload, _config_from(args), policy=args.policy,
+            workload, config, policy=args.policy,
             telemetry=telemetry, obs=obs,
         )
     # LIFO shutdown: the server (entered last) closes before the bus,
@@ -210,16 +277,16 @@ def cmd_run(args) -> int:
     with contextlib.ExitStack() as stack:
         if telemetry is not None:
             stack.enter_context(telemetry)
-        if args.serve and obs is not None:
+        if config.serve and obs is not None:
             server = stack.enter_context(
-                ObsServer(obs.registry, port=args.serve_port)
+                ObsServer(obs.registry, port=config.serve_port)
             )
             print(f"live metrics  : {server.url}/metrics  "
                   "(also /healthz, /snapshot.json)", flush=True)
         result = sim.run()
         if resume and sim.telemetry.active:
             sim.telemetry.close()  # flush the reopened JSONL sink
-        if args.serve and obs is not None and args.serve_linger > 0:
+        if config.serve and obs is not None and args.serve_linger > 0:
             print(f"run finished; serving final snapshot for "
                   f"{args.serve_linger:g}s", flush=True)
             time.sleep(args.serve_linger)
@@ -268,12 +335,12 @@ def cmd_run(args) -> int:
               f"{sim.config.checkpoint_path})")
     if result.access_count_ratio is not None:
         print(f"access-count ratio: {result.access_count_ratio:.3f}")
-    if getattr(args, "check_invariants", False):
+    if sim.config.check_invariants:
         checks = result.extra.get("invariant_checks", 0.0)
         violations = result.extra.get("invariant_violations", 0.0)
         print(f"invariants    : {checks:.0f} checks, "
               f"{violations:.0f} violations")
-    if args.migration_mode == "async":
+    if sim.config.migration_mode == "async":
         ex = result.extra
         print(f"async queue   : enqueued {ex.get('mig_enqueued', 0):.0f}, "
               f"committed {ex.get('mig_committed', 0):.0f}, "
@@ -433,14 +500,14 @@ def cmd_compare(args) -> int:
     if unknown:
         print(f"unknown policies: {', '.join(unknown)}")
         return 2
+    config = config_from(args, SimConfig, checkpoints=1)
     base = Simulation(
-        registry.build(args.bench, seed=args.seed), _config_from(args),
-        policy="none",
+        registry.build(args.bench, seed=config.seed), config, policy="none",
     ).run()
     rows = []
     for policy in policies:
         result = Simulation(
-            registry.build(args.bench, seed=args.seed), _config_from(args),
+            registry.build(args.bench, seed=config.seed), config,
             policy=policy,
         ).run()
         if base.p99_latency_us and result.p99_latency_us:
@@ -471,25 +538,14 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1 (got {args.jobs})")
         return 2
+    kwargs = _config_kwargs(args, SimConfig)
+    # The sweep serves one aggregate endpoint itself; cells never serve.
+    serve, serve_port = kwargs.pop("serve"), kwargs.pop("serve_port")
     # ``functools.partial`` over SimConfig keeps the factory picklable
     # for the worker processes (a closure over ``args`` would not be).
-    factory = functools.partial(
-        SimConfig,
-        total_accesses=args.accesses,
-        chunk_size=args.chunk,
-        trace_subsample=args.subsample,
-        migrate=not getattr(args, "no_migrate", False),
-        checkpoints=getattr(args, "checkpoints", 1) or 1,
-        migration_mode=getattr(args, "migration_mode", "instant"),
-        migration_inflight_budget=getattr(args, "mig_budget", 128),
-        migration_queue_capacity=getattr(args, "mig_queue_cap", 4096),
-        migration_abort_rate=getattr(args, "mig_abort_rate", 0.0),
-        migration_max_retries=getattr(args, "mig_max_retries", 3),
-        migration_copy_gbps=getattr(args, "mig_copy_gbps", 0.0),
-        migration_enomem_policy=getattr(args, "mig_enomem", "demote-first"),
-    )
-    serve = bool(getattr(args, "serve", False))
-    if getattr(args, "metrics", None) or serve:
+    factory = functools.partial(SimConfig, checkpoints=1, **kwargs)
+    config = _checked(factory)  # reject bad values before any cell runs
+    if args.metrics or serve:
         with contextlib.ExitStack() as stack:
             on_result = None
             if serve:
@@ -506,12 +562,12 @@ def cmd_sweep(args) -> int:
                         )
 
                 server = stack.enter_context(
-                    ObsServer(aggregate, port=args.serve_port)
+                    ObsServer(aggregate, port=serve_port)
                 )
                 print(f"live metrics  : {server.url}/metrics  "
                       "(cells appear as they finish)", flush=True)
             results = collect_matrix(
-                benches, policies, factory, seed=args.seed, jobs=args.jobs,
+                benches, policies, factory, seed=config.seed, jobs=args.jobs,
                 with_metrics=True, on_result=on_result,
             )
             if serve and args.serve_linger > 0:
@@ -525,7 +581,7 @@ def cmd_sweep(args) -> int:
             }
             for bench in benches
         }
-        if getattr(args, "metrics", None):
+        if args.metrics:
             cell_metrics = {
                 bench: {
                     policy: result.metrics
@@ -540,7 +596,7 @@ def cmd_sweep(args) -> int:
                   f"({n_cells} cells)")
     else:
         matrix = run_matrix(
-            benches, policies, factory, seed=args.seed, jobs=args.jobs
+            benches, policies, factory, seed=config.seed, jobs=args.jobs
         )
     rows = [[bench] + [matrix[bench][p] for p in policies] for bench in benches]
     means = matrix_means(matrix)
@@ -555,9 +611,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    from repro.fleet import MAX_TENANTS, FleetConfig
+    from repro.fleet import MAX_TENANTS
 
-    benches = [b.strip() for b in args.bench.split(",") if b.strip()]
+    fleet = config_from(args, FleetConfig)
+    config = config_from(args, SimConfig, checkpoints=1)
+    benches = [b.strip() for b in fleet.bench.split(",") if b.strip()]
     unknown_benches = [b for b in benches if b not in registry.names()]
     if unknown_benches:
         print(f"unknown benchmarks: {', '.join(unknown_benches)}")
@@ -565,30 +623,13 @@ def cmd_fleet(args) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1 (got {args.jobs})")
         return 2
-    if args.tenants > MAX_TENANTS:
+    if fleet.tenants > MAX_TENANTS:
         print(f"--tenants is capped at {MAX_TENANTS} by the per-tenant "
               "physical-address windows")
         return 2
-    try:
-        fleet = FleetConfig(
-            tenants=args.tenants,
-            tiers=args.tiers,
-            bench=args.bench,
-            policy=args.policy,
-            weights=args.weights,
-            qos=not args.no_qos,
-            pooled_capacity_gb=args.pooled_gb,
-            chain_headroom_frac=args.chain_headroom,
-            chain_pull_budget=args.chain_pull_budget,
-        )
-    except ValueError as exc:
-        print(f"bad fleet configuration: {exc}")
-        return 2
-    config = _config_from(args)
-    config.seed = args.seed
-    with_metrics = bool(args.out) or bool(args.metrics) or bool(args.serve)
+    with_metrics = bool(args.out) or bool(args.metrics) or config.serve
     watchdog = None
-    if args.serve or args.trace:
+    if config.serve or args.trace:
         # The live/trace path needs the in-process lockstep fleet: the
         # server scrapes its merged per-tenant snapshot mid-run and
         # the tracer collects per-tenant spans.
@@ -603,14 +644,14 @@ def cmd_fleet(args) -> int:
         )
         watchdog = fsim.watchdog
         with contextlib.ExitStack() as stack:
-            if args.serve:
+            if config.serve:
                 server = stack.enter_context(
-                    ObsServer(fsim.merged_snapshot, port=args.serve_port)
+                    ObsServer(fsim.merged_snapshot, port=config.serve_port)
                 )
                 print(f"live metrics  : {server.url}/metrics  "
                       "(per-tenant labelled series)", flush=True)
             result = fsim.run()
-            if args.serve and args.serve_linger > 0:
+            if config.serve and args.serve_linger > 0:
                 print(f"fleet finished; serving final snapshot for "
                       f"{args.serve_linger:g}s", flush=True)
                 time.sleep(args.serve_linger)
@@ -644,7 +685,7 @@ def cmd_fleet(args) -> int:
         rows,
         precision=3,
     )
-    if getattr(args, "check_invariants", False):
+    if config.check_invariants:
         checks = sum(
             t.result.extra.get("invariant_checks", 0.0)
             for t in result.results
@@ -712,9 +753,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    workload = registry.build(args.bench, seed=args.seed)
-    config = _config_from(args)
-    config.migrate = False
+    config = config_from(args, SimConfig, checkpoints=1, migrate=False)
+    workload = registry.build(args.bench, seed=config.seed)
     sim = Simulation(workload, config, policy="none", enable_wac=True)
     sim.run()
     cdf = AccessCdf.from_counts(args.bench, sim.pac.counts())
@@ -735,8 +775,9 @@ def cmd_profile(args) -> int:
 def cmd_report(args) -> int:
     from repro.analysis.report import profile_benchmark, render_markdown
 
+    config = config_from(args, SimConfig)
     profile = profile_benchmark(
-        args.bench, total_accesses=args.accesses, seed=args.seed
+        args.bench, total_accesses=config.total_accesses, seed=config.seed
     )
     text = render_markdown(profile)
     if args.output:
@@ -795,6 +836,24 @@ def cmd_verify(args) -> int:
                       f"{row.a:g} vs {row.b:g} "
                       f"(drift {row.drift:.2%} > tol {row.tolerance:.2%})")
         print()
+    if args.json:
+        payload = [
+            {
+                "oracle": report.name,
+                "description": report.description,
+                "ok": report.ok,
+                "rows": [
+                    {"field": row.field, "a": row.a, "b": row.b,
+                     "tolerance": row.tolerance, "drift": row.drift,
+                     "ok": row.ok}
+                    for row in report.rows
+                ],
+            }
+            for report in reports
+        ]
+        with open(args.json, "w") as fh:
+            json.dump(payload, fh, indent=2)
+        print(f"diff report written to {args.json}")
     if failed:
         print(f"VERIFY FAILED: {failed} of {len(reports)} oracle pairs drifted")
         return 1
@@ -837,82 +896,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list registered benchmarks")
 
-    def add_run_args(p, with_policy=True, bench_required=True):
-        p.add_argument("--bench", required=bench_required,
+    def add_bench_arg(p, required=True):
+        p.add_argument("--bench", required=required,
                        help="benchmark name (see `list`)")
-        if with_policy:
-            p.add_argument("--policy", default="m5-hpt", choices=ALL_POLICIES)
-        p.add_argument("--accesses", type=int, default=1_000_000)
-        p.add_argument("--chunk", type=int, default=16_384)
-        p.add_argument("--subsample", type=float, default=64.0)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--engine", default="batched",
-                       choices=("reference", "batched"),
-                       help="epoch hot-path implementation: vectorized "
-                            "array kernels (batched) or the per-access "
-                            "reference loops; results are bit-identical")
 
-    def add_migration_args(p):
-        p.add_argument("--migration-mode", default="instant",
-                       choices=("instant", "async"),
-                       help="instant: atomic flat-cost migration; async: "
-                            "transactional queue with budgets and aborts")
-        p.add_argument("--mig-budget", type=int, default=128,
-                       help="async: max page copies in flight per epoch")
-        p.add_argument("--mig-queue-cap", type=int, default=4096,
-                       help="async: bounded migration-queue capacity")
-        p.add_argument("--mig-abort-rate", type=float, default=0.0,
-                       help="async: injected mid-copy abort probability")
-        p.add_argument("--mig-max-retries", type=int, default=3,
-                       help="async: retries before a request is dropped")
-        p.add_argument("--mig-copy-gbps", type=float, default=0.0,
-                       help="async: copy-engine bandwidth throttle (GB/s, "
-                            "0 = budget-only)")
-        p.add_argument("--mig-enomem", default="demote-first",
-                       choices=("demote-first", "abort"),
-                       help="async: full fast tier demotes a victim first "
-                            "or aborts the promotion")
-
-    def add_serve_args(p, what="the run"):
-        p.add_argument("--serve", action="store_true",
-                       help=f"serve /metrics, /healthz and /snapshot.json "
-                            f"over HTTP while {what} is in flight")
-        p.add_argument("--serve-port", type=int, default=0, metavar="PORT",
-                       help="live-endpoint port (0 = ephemeral; the bound "
-                            "URL is printed at startup)")
+    def add_linger_arg(p):
         p.add_argument("--serve-linger", type=float, default=0.0,
                        metavar="SECONDS",
                        help="keep serving the final snapshot this long "
                             "after the work finishes")
 
-    def add_record_args(p):
-        p.add_argument("--record-series", default=None, metavar="SPEC",
-                       help="per-epoch time-series recorder: 'default', "
-                            "'all', or comma-separated metric families")
-        p.add_argument("--record-epochs", type=int, default=4096,
-                       metavar="N",
-                       help="recorder ring capacity in epochs (oldest "
-                            "rows are overwritten beyond it)")
-        p.add_argument("--slo-rules", default=None, metavar="SPEC",
-                       help="SLO watchdog: 'default' or a JSON rule file; "
-                            "breaches raise alert.* telemetry and the "
-                            "slo_breaches_total counter")
-
     run = sub.add_parser("run", help="run one benchmark under one policy")
-    add_run_args(run, bench_required=False)
-    add_migration_args(run)
-    add_serve_args(run)
-    add_record_args(run)
+    add_bench_arg(run, required=False)
+    run.add_argument("--policy", default="m5-hpt", choices=ALL_POLICIES)
+    add_config_args(run, SimConfig, RUN_FIELDS)
+    add_linger_arg(run)
     run.add_argument("--record-out", default=None, metavar="FILE",
                      help="export the recorded per-epoch series (CSV if "
                           "FILE ends .csv, else JSONL)")
-    run.add_argument("--no-migrate", action="store_true",
-                     help="identification-only mode (§4.1 S1)")
-    run.add_argument("--check-invariants", action="store_true",
-                     help="run the per-epoch invariant catalogue (counter/"
-                          "tier conservation, tracker/queue bounds); a "
-                          "violation aborts the run")
-    run.add_argument("--checkpoints", type=int, default=10)
     run.add_argument("--timeline", default=None, metavar="FILE",
                      help="write the per-epoch telemetry timeline as JSONL")
     run.add_argument("--metrics", default=None, metavar="FILE",
@@ -921,12 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", default=None, metavar="FILE",
                      help="write pipeline-stage spans as chrome://tracing "
                           "JSON and print the flame table")
-    run.add_argument("--checkpoint", default=None, metavar="FILE",
-                     help="persist the full run state to FILE (atomically "
-                          "replaced) every --checkpoint-every epochs")
-    run.add_argument("--checkpoint-every", type=int, default=0, metavar="K",
-                     help="checkpoint cadence in epochs (0 disables; "
-                          "requires --checkpoint)")
     run.add_argument("--resume", default=None, metavar="CKPT",
                      help="resume a checkpointed run to completion; the "
                           "result is bit-identical to the uninterrupted "
@@ -978,8 +973,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the per-stream summary as JSON")
 
     compare = sub.add_parser("compare", help="compare policies")
-    add_run_args(compare, with_policy=False)
-    add_migration_args(compare)
+    add_bench_arg(compare)
+    add_config_args(compare, SimConfig, COMPARE_FIELDS)
     compare.add_argument("--policies", default="anb,damon,m5-hpt")
 
     sweep = sub.add_parser(
@@ -988,23 +983,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--benches", default="mcf,roms",
                        help="comma-separated benchmark names")
     sweep.add_argument("--policies", default="anb,damon,m5-hpt")
-    sweep.add_argument("--accesses", type=int, default=1_000_000)
-    sweep.add_argument("--chunk", type=int, default=16_384)
-    sweep.add_argument("--subsample", type=float, default=64.0)
-    sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--engine", default="batched",
-                       choices=("reference", "batched"),
-                       help="epoch hot-path implementation (bit-identical "
-                            "results; reference is the per-access baseline)")
+    add_config_args(sweep, SimConfig, SWEEP_FIELDS)
+    add_linger_arg(sweep)
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the matrix cells")
-    sweep.add_argument("--no-migrate", action="store_true",
-                       help="identification-only mode (§4.1 S1)")
     sweep.add_argument("--metrics", default=None, metavar="FILE",
                        help="collect every cell's metrics snapshot into "
                             "one JSON file keyed bench -> policy")
-    add_migration_args(sweep)
-    add_serve_args(sweep, what="the sweep")
 
     fleet = sub.add_parser(
         "fleet",
@@ -1012,44 +997,13 @@ def build_parser() -> argparse.ArgumentParser:
              "(QoS bandwidth arbitration + DRAM->CXL->pooled demotion "
              "chains)",
     )
-    fleet.add_argument("--tenants", type=int, default=3,
-                       help="co-located workloads sharing the hierarchy")
-    fleet.add_argument("--tiers", type=int, default=3, choices=(2, 3),
-                       help="tier depth: 2 (DDR+CXL) or 3 (+pooled CXL)")
-    fleet.add_argument("--bench", default="mcf",
-                       help="comma-separated benchmarks, assigned "
-                            "round-robin over tenants")
-    fleet.add_argument("--policy", default="m5-hpt", choices=ALL_POLICIES,
-                       help="page-migration policy every tenant runs")
-    fleet.add_argument("--weights", default="",
-                       help="comma-separated per-tenant QoS weights "
-                            "(empty = equal; cycled like --bench)")
-    fleet.add_argument("--no-qos", action="store_true",
-                       help="proportional bandwidth sharing instead of "
-                            "weighted max-min fairness")
-    fleet.add_argument("--pooled-gb", type=float, default=16.0,
-                       help="pooled-tier capacity in GB (3-tier fleets)")
-    fleet.add_argument("--chain-headroom", type=float, default=0.02,
-                       help="fraction of each tenant's CXL share the "
-                            "demotion chain keeps free")
-    fleet.add_argument("--chain-pull-budget", type=int, default=64,
-                       help="max pooled pages pulled back to CXL per "
-                            "tenant-epoch (0 disables pull-ups)")
-    fleet.add_argument("--accesses", type=int, default=1_000_000)
-    fleet.add_argument("--chunk", type=int, default=16_384)
-    fleet.add_argument("--subsample", type=float, default=64.0)
-    fleet.add_argument("--seed", type=int, default=1)
-    fleet.add_argument("--engine", default="batched",
-                       choices=("reference", "batched"),
-                       help="epoch hot-path implementation every tenant "
-                            "uses (bit-identical results)")
+    add_config_args(fleet, FleetConfig, FLEET_FIELDS)
+    add_config_args(fleet, SimConfig, FLEET_SIM_FIELDS)
+    add_linger_arg(fleet)
     fleet.add_argument("--jobs", type=int, default=1,
                        help="worker processes to shard tenants across "
                             "(bandwidth-coupled fleets run in lockstep "
                             "regardless)")
-    fleet.add_argument("--check-invariants", action="store_true",
-                       help="run the per-epoch invariant catalogue in "
-                            "every tenant's pipeline")
     fleet.add_argument("--out", default=None, metavar="FILE",
                        help="write the fleet summary + per-tenant metric "
                             "rows as JSON (the CI snapshot artifact)")
@@ -1060,8 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write per-tenant pipeline spans as one "
                             "chrome://tracing JSON (one process row per "
                             "tenant; forces the lockstep path)")
-    add_serve_args(fleet, what="the fleet")
-    add_record_args(fleet)
 
     metrics = sub.add_parser(
         "metrics", help="pretty-print one metrics snapshot, or diff two"
@@ -1073,10 +1025,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="diff: also list unchanged series")
 
     profile = sub.add_parser("profile", help="PAC/WAC offline profile")
-    add_run_args(profile, with_policy=False)
+    add_bench_arg(profile)
+    add_config_args(profile, SimConfig, TRACE_FIELDS)
 
     report = sub.add_parser("report", help="full Markdown profile report")
-    add_run_args(report, with_policy=False)
+    add_bench_arg(report)
+    add_config_args(report, SimConfig, TRACE_FIELDS)
     report.add_argument("--output", default=None,
                         help="write the report to a file instead of stdout")
 
@@ -1090,12 +1044,16 @@ def build_parser() -> argparse.ArgumentParser:
                                 "resume",
                         help="comma-separated oracle names to run")
     verify.add_argument("--bench", default="mcf",
-                        help="benchmark for the migration oracle")
+                        help="benchmark for the migration, engine, fleet "
+                             "and resume oracles")
     verify.add_argument("--policy", default="m5-hpt", choices=ALL_POLICIES,
-                        help="policy for the migration oracle")
+                        help="policy for the migration, engine, fleet and "
+                             "resume oracles")
     verify.add_argument("--accesses", type=int, default=400_000)
     verify.add_argument("--chunk", type=int, default=16_384)
     verify.add_argument("--seed", type=int, default=1)
+    verify.add_argument("--json", default=None, metavar="FILE",
+                        help="also write the per-field diffs as JSON")
 
     sub.add_parser("hwcost", help="Table 4 tracker cost model")
 

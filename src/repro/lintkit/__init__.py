@@ -15,9 +15,10 @@ differential oracles) can only check *after* a simulation has run:
 * **numpy counter safety** (``DTYPE001``) — narrow integer SRAM
   counters in ``cxl/`` must handle saturation explicitly, mirroring
   PAC's L-bit spill model;
-* **registry drift** (``DRIFT001``–``DRIFT003``) — ``SimConfig``
-  knobs, telemetry event names, and metric families stay in sync with
-  the checked-in registries under ``docs/registries/``;
+* **registry drift** (``DRIFT002``–``DRIFT003``) — telemetry event
+  names and metric families stay in sync with the checked-in
+  registries under ``docs/registries/`` (config knobs declare their
+  CLI flag on the field itself; see ``repro.sim.config.flag``);
 * **concurrency** (``CONC001``–``CONC004``) — lock discipline on
   shared attributes, no blocking calls while holding a lock, thread
   lifecycle hygiene, and a *checked* ``# lint: torn-safe`` annotation

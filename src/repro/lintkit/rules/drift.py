@@ -1,18 +1,18 @@
-"""DRIFT001–DRIFT003: registry drift rules.
+"""DRIFT002–DRIFT003: registry drift rules.
 
-Three name spaces in this codebase are easy to let rot: the
-``SimConfig`` knobs vs the CLI flags that expose them, the telemetry
+Two name spaces in this codebase are easy to let rot: the telemetry
 event names the pipeline publishes, and the metric families the
 instruments register.  Each has a checked-in registry under
 ``docs/registries/``; these rules diff source against registry *in
-both directions*, so adding a knob/event/metric without documenting
-it — or documenting one that no longer exists — fails the lint run.
+both directions*, so adding an event/metric without documenting it —
+or documenting one that no longer exists — fails the lint run.
 
 Registry workflow: ``tools/run_lint.py --update-registries``
-regenerates the two extraction-based registries (telemetry events,
-metric families) from source, preserving existing descriptions;
-``config_cli.json`` is maintained by hand because the flag-or-exempt
-decision is a design choice, not an extraction.
+regenerates both registries from source, preserving existing
+descriptions.  Config knobs need no registry: each ``SimConfig`` /
+``FleetConfig`` field declares its CLI flag or exemption reason in
+its own ``field(metadata=...)`` (``repro.sim.config.flag`` /
+``exempt``), and ``tests/test_cli_config.py`` checks both ways.
 """
 
 from __future__ import annotations
@@ -26,12 +26,10 @@ from repro.lintkit.base import Rule, register
 from repro.lintkit.context import FileContext, Project
 from repro.lintkit.findings import Finding
 
-CONFIG_REGISTRY = "config_cli.json"
 EVENTS_REGISTRY = "telemetry_events.json"
 METRICS_REGISTRY = "metric_families.json"
 
 _CONFIG_MODULE = "repro/sim/config.py"
-_CLI_MODULE = "repro/cli.py"
 
 
 def _load_registry(project: Project, name: str) -> Optional[dict]:
@@ -44,49 +42,6 @@ def _load_registry(project: Project, name: str) -> Optional[dict]:
 
 def _registry_rel(project: Project, name: str) -> str:
     return f"docs/registries/{name}"
-
-
-def dataclass_fields(ctx: FileContext, class_name: str) -> Dict[str, int]:
-    """``class_name`` dataclass field names -> line numbers."""
-    fields: Dict[str, int] = {}
-    if ctx.tree is None:
-        return fields
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and not stmt.target.id.startswith("_")
-                ):
-                    fields[stmt.target.id] = stmt.lineno
-    return fields
-
-
-def simconfig_fields(ctx: FileContext) -> Dict[str, int]:
-    """SimConfig dataclass field names -> line numbers."""
-    return dataclass_fields(ctx, "SimConfig")
-
-
-def cli_flags(ctx: FileContext) -> Set[str]:
-    """Every ``--flag`` string literal passed to ``add_argument``."""
-    flags: Set[str] = set()
-    if ctx.tree is None:
-        return flags
-    for node in ast.walk(ctx.tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "add_argument"
-        ):
-            for arg in node.args:
-                if (
-                    isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                    and arg.value.startswith("--")
-                ):
-                    flags.add(arg.value)
-    return flags
 
 
 def extract_events(files: Iterable[FileContext]) -> Dict[str, List[Tuple[str, int]]]:
@@ -121,97 +76,6 @@ def _extract_string_calls(
                     (ctx.rel, node.lineno)
                 )
     return out
-
-
-@register
-class ConfigCliDrift(Rule):
-    """DRIFT001: ``SimConfig`` fields vs CLI flags vs the registry.
-
-    Every field needs either a ``--flag`` (which must exist in
-    ``cli.py``) or an ``exempt`` reason in ``config_cli.json``; every
-    registry entry must still name a real field.
-    """
-
-    id = "DRIFT001"
-    title = "SimConfig/CLI/registry drift"
-    fix_hint = (
-        "add the field to docs/registries/config_cli.json with its CLI "
-        "flag, or record an `exempt` reason there"
-    )
-
-    #: Checked config dataclasses -> their registry section.  A class
-    #: absent from the tree is skipped (fixture trees predating it).
-    CONFIG_CLASSES = (
-        ("SimConfig", "fields"),
-        ("FleetConfig", "fleet_fields"),
-    )
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        config = project.file_ending_with(_CONFIG_MODULE)
-        cli = project.file_ending_with(_CLI_MODULE)
-        if config is None:
-            return  # partial tree: nothing to diff
-        registry = _load_registry(project, CONFIG_REGISTRY)
-        reg_rel = _registry_rel(project, CONFIG_REGISTRY)
-        if registry is None:
-            yield self.finding(
-                reg_rel, 1,
-                f"registry file {CONFIG_REGISTRY} is missing",
-                fix_hint="create it; see docs/static_analysis.md",
-            )
-            return
-        flags = cli_flags(cli) if cli is not None else None
-        for class_name, section in self.CONFIG_CLASSES:
-            fields = dataclass_fields(config, class_name)
-            if not fields:
-                continue  # class absent from this tree: nothing to diff
-            yield from self._diff_class(
-                config, reg_rel, class_name,
-                registry.get(section, {}), fields, flags,
-            )
-
-    def _diff_class(
-        self,
-        config: FileContext,
-        reg_rel: str,
-        class_name: str,
-        entries: Dict[str, dict],
-        fields: Dict[str, int],
-        flags: Optional[Set[str]],
-    ) -> Iterable[Finding]:
-        for name, line in fields.items():
-            entry = entries.get(name)
-            if entry is None:
-                yield self.finding(
-                    config, line,
-                    f"{class_name}.{name} has no entry in {CONFIG_REGISTRY} "
-                    "(flag or exemption required)",
-                )
-                continue
-            has_flag = "flag" in entry
-            has_exempt = "exempt" in entry
-            if has_flag == has_exempt:
-                yield self.finding(
-                    reg_rel, 1,
-                    f"registry entry `{name}` must have exactly one of "
-                    "`flag` / `exempt`",
-                )
-            elif has_flag and flags is not None and entry["flag"] not in flags:
-                yield self.finding(
-                    reg_rel, 1,
-                    f"registry maps {class_name}.{name} to `{entry['flag']}` "
-                    "but cli.py defines no such flag",
-                    fix_hint="add the add_argument, or switch the entry to "
-                    "an `exempt` reason",
-                )
-        for name in entries:
-            if name not in fields:
-                yield self.finding(
-                    reg_rel, 1,
-                    f"registry lists `{name}` but {class_name} has no such "
-                    "field",
-                    fix_hint="delete the stale registry entry",
-                )
 
 
 class _ExtractionDrift(Rule):

@@ -2,12 +2,15 @@
 per-run driver tying workloads, tiers, the CXL controller, and the
 page-migration policies together."""
 
-from repro.sim.config import FleetConfig, SimConfig
-from repro.sim.engine import (
+from repro.sim.config import (
     ALL_POLICIES,
     BASELINE_POLICIES,
-    CHECKPOINT_FORMAT_VERSION,
     M5_POLICIES,
+    FleetConfig,
+    SimConfig,
+)
+from repro.sim.engine import (
+    CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
     M5Options,
     RunResult,

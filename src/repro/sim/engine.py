@@ -111,15 +111,10 @@ from repro.obs import (
     parse_series_spec,
 )
 from repro.obs.tracing import SimClock
-from repro.sim.config import SimConfig
+from repro.sim.config import ALL_POLICIES, BASELINE_POLICIES, SimConfig
 from repro.sim.perf import EpochPerf, PerformanceModel
 from repro.sim.telemetry import RingBufferSink, TelemetryBus
 from repro.workloads.base import SyntheticWorkload
-
-#: Registry-visible policy names.
-BASELINE_POLICIES = ("none", "anb", "damon", "tpp", "pte-scan", "pebs")
-M5_POLICIES = ("m5-hpt", "m5-hwt", "m5-hpt+hwt")
-ALL_POLICIES = BASELINE_POLICIES + M5_POLICIES
 
 #: On-disk checkpoint format.  Bumped whenever the pickled state's
 #: shape changes incompatibly; ``load_state`` refuses other versions

@@ -1,7 +1,6 @@
-"""Fixture tests for the registry-drift rules DRIFT001-DRIFT003.
+"""Fixture tests for the registry-drift rules DRIFT002-DRIFT003.
 
-Each fixture tree carries stub ``repro/sim/config.py`` /
-``repro/cli.py`` modules: the config module doubles as the
+Each fixture tree carries a stub ``repro/sim/config.py`` module: the
 "full-tree" proxy that arms the reverse (documented-but-gone) diffs.
 """
 
@@ -20,105 +19,12 @@ _CONFIG_SRC = """\
         seed: int = 0
     """
 
-_CLI_SRC = """\
-    import argparse
-
-
-    def build():
-        parser = argparse.ArgumentParser()
-        parser.add_argument("--num-pages", type=int)
-        return parser
-    """
-
-_GOOD_CONFIG_REGISTRY = {
-    "fields": {
-        "num_pages": {"flag": "--num-pages"},
-        "seed": {"exempt": "fixed by the harness"},
-    }
-}
-
 
 def _tree(extra=None):
-    files = {
-        "src/repro/sim/config.py": _CONFIG_SRC,
-        "src/repro/cli.py": _CLI_SRC,
-    }
+    files = {"src/repro/sim/config.py": _CONFIG_SRC}
     if extra:
         files.update(extra)
     return files
-
-
-# ---------------------------------------------------------------------------
-# DRIFT001: SimConfig vs CLI flags vs config_cli.json
-
-
-def test_drift001_passes_complete_registry(lint_tree):
-    result = lint_tree(
-        _tree(),
-        rules=["DRIFT001"],
-        registries={"config_cli.json": _GOOD_CONFIG_REGISTRY},
-    )
-    assert result.ok
-
-
-def test_drift001_flags_missing_registry_file(lint_tree):
-    result = lint_tree(_tree(), rules=["DRIFT001"])
-    assert rule_ids(result) == ["DRIFT001"]
-    assert "is missing" in result.findings[0].message
-
-
-def test_drift001_flags_undocumented_field(lint_tree):
-    registry = {"fields": {"num_pages": {"flag": "--num-pages"}}}
-    result = lint_tree(
-        _tree(), rules=["DRIFT001"], registries={"config_cli.json": registry}
-    )
-    assert rule_ids(result) == ["DRIFT001"]
-    assert "SimConfig.seed has no entry" in result.findings[0].message
-    # The finding anchors at the field's definition in config.py.
-    assert result.findings[0].path.endswith("repro/sim/config.py")
-
-
-def test_drift001_flags_entry_with_flag_and_exempt(lint_tree):
-    registry = {
-        "fields": {
-            "num_pages": {"flag": "--num-pages", "exempt": "both?"},
-            "seed": {"exempt": "fixed"},
-        }
-    }
-    result = lint_tree(
-        _tree(), rules=["DRIFT001"], registries={"config_cli.json": registry}
-    )
-    assert any("exactly one of" in f.message for f in result.findings)
-
-
-def test_drift001_flags_flag_not_defined_in_cli(lint_tree):
-    registry = {
-        "fields": {
-            "num_pages": {"flag": "--pages"},
-            "seed": {"exempt": "fixed"},
-        }
-    }
-    result = lint_tree(
-        _tree(), rules=["DRIFT001"], registries={"config_cli.json": registry}
-    )
-    assert any("no such flag" in f.message for f in result.findings)
-
-
-def test_drift001_flags_stale_registry_entry(lint_tree):
-    registry = {
-        "fields": {**_GOOD_CONFIG_REGISTRY["fields"], "ghost": {"exempt": "?"}}
-    }
-    result = lint_tree(
-        _tree(), rules=["DRIFT001"], registries={"config_cli.json": registry}
-    )
-    assert any("no such field" in f.message for f in result.findings)
-
-
-def test_drift001_quiet_without_config_module(lint_tree):
-    result = lint_tree(
-        {"src/repro/sim/other.py": "x = 1\n"}, rules=["DRIFT001"]
-    )
-    assert result.ok
 
 
 # ---------------------------------------------------------------------------

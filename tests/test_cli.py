@@ -180,13 +180,15 @@ class TestHwcost:
 
 
 class TestRunCheckpointResume:
+    @pytest.mark.parametrize("mode", ["instant", "async"])
     def test_checkpoint_then_resume_reproduces_summary(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, mode
     ):
         ckpt = tmp_path / "run.ckpt"
         rc = main([
             "run", "--bench", "mcf", "--policy", "m5-hpt",
             "--accesses", "200000", "--chunk", "20000",
+            "--migration-mode", mode,
             "--checkpoint", str(ckpt), "--checkpoint-every", "3",
         ])
         assert rc == 0
@@ -199,8 +201,11 @@ class TestRunCheckpointResume:
         resumed = capsys.readouterr().out
         assert "resuming from" in resumed
         # The resumed tail lands on the uninterrupted run's summary,
-        # line for line.
-        for key in ("execution time", "promoted", "DDR/CXL pages"):
+        # line for line; the summary's shape follows the restored config.
+        keys = ("execution time", "promoted", "DDR/CXL pages")
+        if mode == "async":
+            keys += ("async queue", "queue timeline")
+        for key in keys:
             (line,) = [l for l in full.splitlines() if l.startswith(key)]
             assert line in resumed
 
@@ -294,3 +299,16 @@ class TestParser:
         # error with the CLI's usual exit code.
         assert main(["run"]) == 2
         assert "--bench is required" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--chunk", "0"], "trace sizes must be positive"),
+        (["--checkpoint-every", "2"], "requires a checkpoint_path"),
+        (["--checkpoints", "0"], "need at least one checkpoint"),
+    ])
+    def test_bad_config_value_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--bench", "mcf", *argv])
+        assert exc.value.code == 2
+        out = capsys.readouterr().out
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("error:")]
+        assert message in line

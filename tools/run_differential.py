@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Standalone differential-oracle runner.
+"""Standalone differential-oracle runner: a shim over ``repro verify``.
 
-Runs the paired-configuration oracles from :mod:`repro.verify` — the
-same pairs ``repro verify`` exercises — with knobs for the migration
-pair's benchmark/policy/trace length, and optionally writes the full
-per-field diff as JSON (for pinning goldens or CI artifacts).
+Takes exactly ``repro verify``'s flags: the oracle list, the
+benchmark/policy the migration, engine, fleet and resume pairs run,
+the seed, the migration pair's trace length, and ``--json FILE`` for
+the full per-field diff (for pinning goldens or CI artifacts).
 
 Usage::
 
@@ -17,82 +17,9 @@ Exit status: 0 when every oracle pair agrees within tolerance,
 1 on drift, 2 on a usage error.
 """
 
-from __future__ import annotations
-
-import argparse
-import json
 import sys
 
-from repro.verify import ORACLES, run_all
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--oracles", default=",".join(ORACLES),
-                        help="comma-separated oracle names "
-                             f"(known: {', '.join(ORACLES)})")
-    parser.add_argument("--bench", default="mcf",
-                        help="benchmark for the migration oracle")
-    parser.add_argument("--policy", default="m5-hpt",
-                        help="policy for the migration oracle")
-    parser.add_argument("--accesses", type=int, default=400_000,
-                        help="trace length for the migration oracle")
-    parser.add_argument("--chunk", type=int, default=16_384,
-                        help="epoch size for the migration oracle")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--json", default=None, metavar="FILE",
-                        help="also write the per-field diffs as JSON")
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    names = [n.strip() for n in args.oracles.split(",") if n.strip()]
-    unknown = [n for n in names if n not in ORACLES]
-    if unknown:
-        print(f"unknown oracles: {', '.join(unknown)} "
-              f"(known: {', '.join(ORACLES)})")
-        return 2
-    overrides = {
-        "sketch": {"seed": args.seed},
-        "pac": {"seed": args.seed},
-        "migration": {
-            "bench": args.bench,
-            "policy": args.policy,
-            "seed": args.seed,
-            "accesses": args.accesses,
-            "chunk": args.chunk,
-        },
-    }
-    reports = run_all(names, **{n: overrides.get(n, {}) for n in names})
-    for report in reports:
-        print(report.format())
-        print()
-    if args.json:
-        payload = [
-            {
-                "oracle": report.name,
-                "description": report.description,
-                "ok": report.ok,
-                "rows": [
-                    {"field": row.field, "a": row.a, "b": row.b,
-                     "tolerance": row.tolerance, "drift": row.drift,
-                     "ok": row.ok}
-                    for row in report.rows
-                ],
-            }
-            for report in reports
-        ]
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"diff report written to {args.json}")
-    failed = [report.name for report in reports if not report.ok]
-    if failed:
-        print(f"DRIFT in oracle pairs: {', '.join(failed)}")
-        return 1
-    print(f"all {len(reports)} oracle pairs agree")
-    return 0
-
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main(["verify", *sys.argv[1:]]))

@@ -2,11 +2,10 @@
 """Standalone front end for ``repro.lintkit`` (CI entry point).
 
 Same behaviour as ``repro lint`` plus ``--update-registries``, which
-regenerates the extraction-based registries
-(``docs/registries/telemetry_events.json`` and
-``metric_families.json``) from the scanned source, preserving any
-existing descriptions.  ``config_cli.json`` is hand-maintained — see
-``docs/static_analysis.md`` for the workflow.
+regenerates the registries (``docs/registries/telemetry_events.json``
+and ``metric_families.json``) from the scanned source, preserving any
+existing descriptions — see ``docs/static_analysis.md`` for the
+workflow.
 
 Usage::
 
