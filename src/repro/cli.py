@@ -1030,7 +1030,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="full Markdown profile report")
     add_bench_arg(report)
-    add_config_args(report, SimConfig, TRACE_FIELDS)
+    # profile_benchmark reads only the trace length and the seed
+    add_config_args(report, SimConfig, ("total_accesses", "seed"))
     report.add_argument("--output", default=None,
                         help="write the report to a file instead of stdout")
 

@@ -325,7 +325,7 @@ class SimConfig:
     #: keeps the per-access Python loops.  Results are bit-identical
     #: (enforced by the ``engine``/``kernels`` oracles in
     #: :mod:`repro.verify`); the reference path exists for goldens,
-    #: debugging, and the ``tools/bench_engine.py`` speedup baseline.
+    #: debugging, and the ``tools/bench.py engine`` speedup baseline.
     engine: str = field(
         default="batched",
         metadata=flag("--engine",

@@ -303,7 +303,7 @@ class Simulation:
         # vectorized array kernels ("batched", the default) or the
         # per-access reference loops ("reference").  Bit-identical by
         # construction; the reference engine is the differential-oracle
-        # baseline and the bench_engine speedup denominator.
+        # baseline and the bench.py engine-leg speedup denominator.
         batched = self.config.engine == "batched"
         if nodes is None:
             self.memory = TieredMemory(

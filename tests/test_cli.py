@@ -300,6 +300,15 @@ class TestParser:
         assert main(["run"]) == 2
         assert "--bench is required" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--chunk", "5"), ("--subsample", "5"), ("--engine", "batched"),
+    ])
+    def test_report_rejects_flags_it_would_ignore(self, flag, value):
+        # the profile report reads only --accesses and --seed
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--bench", "mcf", flag, value])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("argv, message", [
         (["--chunk", "0"], "trace sizes must be positive"),
         (["--checkpoint-every", "2"], "requires a checkpoint_path"),
