@@ -29,6 +29,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import inspect
 import json
 import time
 import typing
@@ -418,19 +419,16 @@ def cmd_serve(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}")
             return 2
-        sim_config = SimConfig(
-            chunk_size=args.chunk,
-            seed=args.seed,
-            engine=args.engine,
-        )
-        svc_config = ServiceConfig(
+        sim_config = config_from(args, SimConfig)
+        svc_config = _checked(functools.partial(
+            ServiceConfig,
             buffer_capacity=args.buffer_cap,
-            checkpoint_every=args.checkpoint_every,
+            checkpoint_every=args.checkpoint_rounds,
             checkpoint_dir=args.checkpoint_dir or "",
             poll_interval_s=(args.poll_interval
                              if args.poll_interval is not None else 0.05),
             max_rounds=args.max_rounds or 0,
-        )
+        ))
         try:
             service = Service(specs, sim_config, svc_config)
         except (OSError, ValueError) as exc:
@@ -798,34 +796,15 @@ def cmd_verify(args) -> int:
         print(f"unknown oracles: {', '.join(unknown)} "
               f"(known: {', '.join(ORACLES)})")
         return 2
-    overrides = {
-        "migration": {
-            "bench": args.bench,
-            "policy": args.policy,
-            "seed": args.seed,
-            "accesses": args.accesses,
-            "chunk": args.chunk,
-        },
-        "sketch": {"seed": args.seed},
-        "pac": {"seed": args.seed},
-        "engine": {
-            "bench": args.bench,
-            "policy": args.policy,
-            "seed": args.seed,
-        },
-        "kernels": {"seed": args.seed},
-        "fleet": {
-            "bench": args.bench,
-            "policy": args.policy,
-            "seed": args.seed,
-        },
-        "resume": {
-            "bench": args.bench,
-            "policy": args.policy,
-            "seed": args.seed,
-        },
-    }
-    reports = run_all(names, **{n: overrides.get(n, {}) for n in names})
+    # Each oracle gets every set flag its signature accepts; an unset
+    # --accesses/--chunk leaves each oracle its own size.
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    reports = run_all(names, **{
+        name: {p: flags[p]
+               for p in inspect.signature(ORACLES[name]).parameters
+               if p in flags}
+        for name in names
+    })
     failed = 0
     for report in reports:
         print(report.format())
@@ -937,20 +916,17 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="NAME=TRACE[,policy=P][,budget=N]",
                        help="add one stream fed from TRACE (v2 stream or "
                             "v1 .npz); repeatable")
-    serve.add_argument("--chunk", type=int, default=16_384,
-                       help="engine epoch size in accesses")
-    serve.add_argument("--seed", type=int, default=1)
-    serve.add_argument("--engine", default="batched",
-                       choices=("reference", "batched"),
-                       help="epoch hot-path implementation")
+    add_config_args(serve, SimConfig, ("chunk_size", "seed", "engine"))
     serve.add_argument("--buffer-cap", type=int, default=1 << 20,
                        metavar="N",
                        help="per-stream ingest buffer bound in addresses "
                             "(a full buffer back-pressures ingestion)")
     serve.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="directory for periodic service checkpoints")
-    serve.add_argument("--checkpoint-every", type=int, default=0,
-                       metavar="R",
+    # Counts rounds, not SimConfig.checkpoint_every's epochs: a dest of
+    # its own keeps config_from from reading it into the SimConfig.
+    serve.add_argument("--checkpoint-every", dest="checkpoint_rounds",
+                       type=int, default=0, metavar="R",
                        help="checkpoint cadence in scheduler rounds "
                             "(0 disables; requires --checkpoint-dir)")
     serve.add_argument("--resume", default=None, metavar="DIR",
@@ -1050,8 +1026,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--policy", default="m5-hpt", choices=ALL_POLICIES,
                         help="policy for the migration, engine, fleet and "
                              "resume oracles")
-    verify.add_argument("--accesses", type=int, default=400_000)
-    verify.add_argument("--chunk", type=int, default=16_384)
+    verify.add_argument("--accesses", type=int, default=None,
+                        help="trace length for every oracle that takes "
+                             "one (default: each oracle's own)")
+    verify.add_argument("--chunk", type=int, default=None,
+                        help="epoch or batch size for every oracle that "
+                             "takes one (default: each oracle's own)")
     verify.add_argument("--seed", type=int, default=1)
     verify.add_argument("--json", default=None, metavar="FILE",
                         help="also write the per-field diffs as JSON")
@@ -1061,7 +1041,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="project-aware static analysis (determinism, units, numpy "
-             "dtype safety, registry drift)",
+             "dtype safety, concurrency, crash safety, pickle safety, "
+             "performance)",
     )
     from repro.lintkit import add_arguments as _add_lint_arguments
 

@@ -15,10 +15,6 @@ differential oracles) can only check *after* a simulation has run:
 * **numpy counter safety** (``DTYPE001``) — narrow integer SRAM
   counters in ``cxl/`` must handle saturation explicitly, mirroring
   PAC's L-bit spill model;
-* **registry drift** (``DRIFT002``–``DRIFT003``) — telemetry event
-  names and metric families stay in sync with the checked-in
-  registries under ``docs/registries/`` (config knobs declare their
-  CLI flag on the field itself; see ``repro.sim.config.flag``);
 * **concurrency** (``CONC001``–``CONC004``) — lock discipline on
   shared attributes, no blocking calls while holding a lock, thread
   lifecycle hygiene, and a *checked* ``# lint: torn-safe`` annotation
@@ -28,18 +24,18 @@ differential oracles) can only check *after* a simulation has run:
   fsync-before-replace (advisory), and handle hygiene on error paths;
 * **pickle safety** (``PICKLE001``–``PICKLE002``) — classes reachable
   from the checkpoint pickles carry no OS resources or lambdas.
+* **hot-path performance** (``PERF001``) — no per-element Python loop
+  over ``ndarray.tolist()`` in the epoch hot layers.
 
 The CONC/CRASH/PICKLE families run on a project-level model
 (:mod:`repro.lintkit.model`): a symbol table, a module-granular call
 graph, and attribute→class reachability, built once per run.
 
-Run it as ``repro lint`` or ``python tools/run_lint.py``; suppress a
+Run it as ``repro lint`` (``python -m repro lint``); suppress a
 deliberate exception with a ``# lint: disable=RULE`` comment (unused
 suppressions are themselves flagged as ``SUP001``).  ``--format
-sarif`` emits SARIF 2.1.0 for CI/PR annotation; ``--changed REF``
-keeps only findings on lines changed since a git ref.  See
-``docs/static_analysis.md`` for the full catalogue and the
-registry-file workflow.
+sarif`` emits SARIF 2.1.0 for CI/PR annotation.  See
+``docs/static_analysis.md`` for the full catalogue.
 """
 
 from repro.lintkit.base import RULE_REGISTRY, Rule, all_rules, register

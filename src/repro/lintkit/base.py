@@ -14,7 +14,7 @@ class Rule:
 
     Subclasses set the class attributes and override
     :meth:`check_file` (per-file rules) and/or :meth:`check_project`
-    (cross-file rules such as the DRIFT registry diffs).  Both return
+    (cross-file rules such as the CONC/CRASH/PICKLE model queries).  Both return
     iterables of :class:`Finding`; the engine applies suppressions.
     """
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.lintkit.annotations import TornSafeAnnotations, find_torn_safe
 from repro.lintkit.suppressions import FileSuppressions, find_suppressions
@@ -64,23 +64,10 @@ class FileContext:
 class Project:
     """The set of files under analysis plus the project root.
 
-    The root anchors the registry files (``docs/registries/``) that
-    the DRIFT rules diff against, so project-scope rules work even
-    when only a subtree is being linted.
+    File paths, and the module names the project model derives from
+    them, are taken relative to the root.
     """
 
     def __init__(self, root: str, files: Iterable[FileContext]):
         self.root = os.path.abspath(root)
         self.files: List[FileContext] = list(files)
-        self._by_suffix: Dict[str, FileContext] = {}
-
-    def file_ending_with(self, rel_suffix: str) -> Optional[FileContext]:
-        """The unique scanned file whose relative path ends with
-        ``rel_suffix`` (e.g. ``repro/sim/config.py``)."""
-        if rel_suffix not in self._by_suffix:
-            matches = [f for f in self.files if f.rel.endswith(rel_suffix)]
-            self._by_suffix[rel_suffix] = matches[0] if len(matches) == 1 else None
-        return self._by_suffix[rel_suffix]
-
-    def registry_path(self, name: str) -> str:
-        return os.path.join(self.root, "docs", "registries", name)

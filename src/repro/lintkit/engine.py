@@ -56,8 +56,8 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
 def load_project(paths: Sequence[str], root: Optional[str] = None) -> Project:
     """Parse every file under ``paths`` into a :class:`Project`.
 
-    ``root`` anchors relative paths and the ``docs/registries/``
-    lookups; it defaults to the current working directory.
+    ``root`` anchors relative paths; it defaults to the current
+    working directory.
     """
     root = os.path.abspath(root or os.getcwd())
     files = []
@@ -181,24 +181,19 @@ def format_json(result: LintResult) -> str:
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint arguments (shared by ``repro lint`` and the
-    standalone ``tools/run_lint.py``)."""
+    """Attach the lint arguments to ``parser``."""
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
         "--root", default=None,
-        help="project root anchoring docs/registries/ (default: cwd)",
+        help="project root: reported paths and module names are "
+        "relative to it (default: cwd)",
     )
     parser.add_argument(
         "--format", choices=("human", "json", "sarif"), default="human",
         help="report format (sarif for CI/PR annotation upload)",
-    )
-    parser.add_argument(
-        "--changed", default=None, metavar="REF",
-        help="keep only findings on lines changed since the git REF "
-        "(e.g. origin/main) — the new-code gate for rule rollouts",
     )
     parser.add_argument(
         "--output", default=None, metavar="FILE",
@@ -223,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="project-aware static analysis (determinism, units, "
-        "numpy dtype safety, registry drift, concurrency, crash safety, "
-        "pickle safety)",
+        "numpy dtype safety, concurrency, crash safety, pickle safety, "
+        "performance)",
     )
     add_arguments(parser)
     return parser
@@ -246,14 +241,6 @@ def run_from_args(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"lint: {exc.args[0]}", file=sys.stderr)
         return 2
-    if getattr(args, "changed", None):
-        from repro.lintkit.diffscope import DiffScopeError, filter_changed
-
-        try:
-            result = filter_changed(result, project.root, args.changed)
-        except DiffScopeError as exc:
-            print(f"lint: {exc}", file=sys.stderr)
-            return 2
     if args.format == "sarif":
         from repro.lintkit.sarif import format_sarif
 

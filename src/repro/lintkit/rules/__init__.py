@@ -4,7 +4,6 @@ from repro.lintkit.rules import (  # noqa: F401
     concurrency,
     crashsafe,
     determinism,
-    drift,
     dtype,
     perf,
     pickle_safety,

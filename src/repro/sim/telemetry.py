@@ -17,14 +17,10 @@ simulated clock) — plus arbitrary numeric payload fields.  Publishing
 with no sinks attached is a cheap no-op, so instrumented code never
 needs to guard its publish calls.
 
-Event kinds published by the pipeline: ``policy`` (overhead,
-nominations), ``migrate`` (promotions/demotions), ``epoch`` (tier
-occupancy, traffic split, epoch duration), ``ratio`` (access-count
-checkpoints), ``promoter.drop`` (bounded proc-file overflow), and —
-in async migration mode — ``migration.enqueue`` /
-``migration.commit`` / ``migration.abort`` / ``migration.retry``
-(the transactional queue's per-epoch outcomes; aggregate them with
-:func:`repro.analysis.timeline.migration_outcomes`).
+Every event name the source publishes is described in :data:`EVENTS`;
+a test fails on a published name missing there, and on an entry no
+code publishes.  The watchdog's ``alert.<rule>`` events are named
+after user-defined SLO rules and stay out of the catalogue.
 """
 
 from __future__ import annotations
@@ -34,6 +30,33 @@ from collections import deque
 from typing import IO, Any, Dict, Iterable, List, Optional, Union
 
 Event = Dict[str, Union[str, int, float]]
+
+#: Every event name published by the source, with what it reports.
+#: Aggregate the ``migration.*`` outcomes with
+#: :func:`repro.analysis.timeline.migration_outcomes`.
+EVENTS: Dict[str, str] = {
+    "epoch": "Per-epoch summary: tier occupancy, demand traffic split, "
+             "epoch duration",
+    "invariant.violation": "An invariant checker detected a broken "
+                           "simulator invariant",
+    "migrate": "Promotions/demotions applied by the migrate stage this "
+               "epoch",
+    "migration.abort": "A transactional migration aborted (injected fault "
+                       "or ENOMEM)",
+    "migration.commit": "A transactional migration committed and the page "
+                        "was remapped",
+    "migration.enqueue": "Requests accepted into the async migration queue "
+                         "this epoch",
+    "migration.retry": "An aborted migration was requeued for another "
+                       "attempt",
+    "policy": "Policy stage output: identification overhead and "
+              "nominations",
+    "promoter.drop": "Bounded proc-file overflow: nominated PFNs truncated",
+    "ratio": "Access-count-ratio checkpoint over the currently hot pages",
+    "replay.wrap": "Replay wrapped past the end of its stored trace "
+                   "(truncated capture warning)",
+    "span": "Wall-clock span of one traced pipeline stage (obs tracing)",
+}
 
 
 class TelemetrySink:

@@ -8,12 +8,11 @@ Three layers guard the repro's trackers and migration paths (see
   --check-invariants``: counter conservation, tier conservation,
   tracker/queue bounds, non-negative perf times.
 * :mod:`repro.verify.differential` — paired-configuration oracles
-  (``repro verify`` / ``tools/run_differential.py``): exact vs batched
-  sketch, PAC cache vs direct mode, instant vs async-unlimited
-  migration, reference vs batched engine (full pipeline, bit-exact),
-  per-kernel batched vs reference state, and a 1-tenant, 2-tier fleet
-  vs the single-run engine (bit-exact), diffed with per-field
-  tolerances.
+  (``repro verify``): exact vs batched sketch, PAC cache vs direct
+  mode, instant vs async-unlimited migration, reference vs batched
+  engine (full pipeline, bit-exact), per-kernel batched vs reference
+  state, and a 1-tenant, 2-tier fleet vs the single-run engine
+  (bit-exact), diffed with per-field tolerances.
 * ``tests/verify/`` — Hypothesis property suites encoding the paper's
   analytical guarantees (CM-Sketch never underestimates, Space-Saving
   overestimates within N/K, exact-oracle CAM selection, MGLRU victim

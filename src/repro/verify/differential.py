@@ -7,7 +7,7 @@ path the pipeline actually runs, and the two must agree — exactly
 where the docstrings promise identical state, within a tolerance where
 only the aggregate behaviour is guaranteed.
 
-Seven oracle pairs (``repro verify`` / ``tools/run_differential.py``):
+Seven oracle pairs (``repro verify``):
 
 * ``sketch`` — :class:`~repro.core.trackers.CmSketchTopK` with
   ``exact_sequence=True`` (per-access hardware semantics) vs the
@@ -752,7 +752,8 @@ def resume_oracle(
     return report
 
 
-#: The registry the CLI and ``tools/run_differential.py`` iterate.
+#: The registry ``repro verify`` iterates; it passes each oracle the
+#: set flags its signature names.
 ORACLES = {
     "sketch": sketch_oracle,
     "pac": pac_oracle,

@@ -7,7 +7,6 @@ fixtures exercising one rule are not polluted by findings from
 another.
 """
 
-import json
 import textwrap
 
 import pytest
@@ -15,7 +14,7 @@ import pytest
 from repro.lintkit import lint_project, load_project
 
 
-def build_project(tmp_path, files, registries=None):
+def build_project(tmp_path, files):
     """Write ``files`` (rel path -> source) under ``tmp_path`` and load
     them as a lint :class:`~repro.lintkit.context.Project` rooted
     there."""
@@ -23,18 +22,13 @@ def build_project(tmp_path, files, registries=None):
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    if registries:
-        reg_dir = tmp_path / "docs" / "registries"
-        reg_dir.mkdir(parents=True, exist_ok=True)
-        for name, payload in registries.items():
-            (reg_dir / name).write_text(json.dumps(payload, indent=2))
     return load_project([str(tmp_path)], root=str(tmp_path))
 
 
 @pytest.fixture
 def make_project(tmp_path):
-    def make(files, registries=None):
-        return build_project(tmp_path, files, registries)
+    def make(files):
+        return build_project(tmp_path, files)
 
     return make
 
@@ -43,8 +37,8 @@ def make_project(tmp_path):
 def lint_tree(make_project):
     """Build a project and lint it; ``rules`` selects the rules run."""
 
-    def run(files, rules=None, registries=None):
-        project = make_project(files, registries)
+    def run(files, rules=None):
+        project = make_project(files)
         return lint_project(project, only_rules=rules)
 
     return run

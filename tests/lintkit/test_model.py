@@ -20,7 +20,7 @@ def model_of(tmp_path, files):
     [
         ("src/repro/sim/engine.py", "repro.sim.engine"),
         ("src/repro/obs/__init__.py", "repro.obs"),
-        ("tools/run_lint.py", "tools.run_lint"),
+        ("tools/bench.py", "tools.bench"),
         ("examples/demo.py", "examples.demo"),
     ],
 )

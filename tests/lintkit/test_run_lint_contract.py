@@ -1,7 +1,6 @@
-"""The ``tools/run_lint.py`` CI contract, exercised as a subprocess:
+"""The ``python -m repro lint`` CI contract, exercised as a subprocess:
 exit codes 0/1/2, JSON report severities (including the non-gating
-``note`` tier), and the SARIF/--changed flags riding through the
-shared argument surface."""
+``note`` tier), the SARIF format and the suppression budget."""
 
 import json
 import os
@@ -11,7 +10,6 @@ import textwrap
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-RUN_LINT = REPO_ROOT / "tools" / "run_lint.py"
 
 _GATING = """
     import json
@@ -37,7 +35,7 @@ def run_lint(tmp_path, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     return subprocess.run(
-        [sys.executable, str(RUN_LINT), str(tmp_path),
+        [sys.executable, "-m", "repro", "lint", str(tmp_path),
          "--root", str(tmp_path), *args],
         capture_output=True, text=True, env=env,
     )
@@ -101,13 +99,6 @@ def test_sarif_format_flag_round_trips(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["version"] == "2.1.0"
     assert doc["runs"][0]["results"][0]["ruleId"] == "CRASH001"
-
-
-def test_changed_with_bad_ref_exits_two(tmp_path):
-    write_tree(tmp_path, _GATING)
-    proc = run_lint(tmp_path, "--changed", "no-such-ref")
-    assert proc.returncode == 2
-    assert "no-such-ref" in proc.stderr
 
 
 _SUPPRESSED = """

@@ -287,6 +287,58 @@ class TestServeCommand:
         assert self.serve("--stream", "a=t.rtrace,policy=bogus") == 2
         assert "unknown policy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--chunk", "0"], "trace sizes must be positive"),
+        (["--buffer-cap", "0"], "buffer_capacity must be positive"),
+        (["--checkpoint-every", "3"], "requires checkpoint_dir"),
+    ])
+    def test_bad_config_value_is_a_usage_error(self, capsys, argv, message):
+        # rejected before the trace is opened, the way `run` rejects it
+        with pytest.raises(SystemExit) as exc:
+            self.serve("--stream", "a=missing.rtrace", *argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr().out
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("error:")]
+        assert message in line
+
+
+class TestVerify:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Two recording oracles in ``ORACLES``; ``None`` = not passed."""
+        from repro.verify import ORACLES, OracleReport
+
+        calls = {}
+
+        def sized(seed=None, accesses=None, chunk=None):
+            calls["sized"] = dict(seed=seed, accesses=accesses, chunk=chunk)
+            return OracleReport("sized", "records its arguments")
+
+        def paired(bench=None, policy=None, seed=None):
+            calls["paired"] = dict(bench=bench, policy=policy, seed=seed)
+            return OracleReport("paired", "records its arguments")
+
+        monkeypatch.setitem(ORACLES, "sized", sized)
+        monkeypatch.setitem(ORACLES, "paired", paired)
+        return calls
+
+    def test_unset_sizes_leave_each_oracle_its_own(self, calls, capsys):
+        assert main(["verify", "--oracles", "sized,paired"]) == 0
+        assert calls == {
+            "sized": dict(seed=1, accesses=None, chunk=None),
+            "paired": dict(bench="mcf", policy="m5-hpt", seed=1),
+        }
+
+    def test_set_flags_reach_every_oracle_that_takes_them(self, calls,
+                                                          capsys):
+        assert main(["verify", "--oracles", "sized,paired", "--seed", "3",
+                     "--accesses", "5000", "--chunk", "100",
+                     "--bench", "roms"]) == 0
+        assert calls == {
+            "sized": dict(seed=3, accesses=5000, chunk=100),
+            "paired": dict(bench="roms", policy="m5-hpt", seed=3),
+        }
+
 
 class TestParser:
     def test_requires_command(self):

@@ -18,6 +18,7 @@ from tests.test_cli_surface import subparsers
 #: Subcommands whose parsed flags build these config classes.
 CONFIG_COMMANDS = {
     "run": (SimConfig,),
+    "serve": (SimConfig,),
     "compare": (SimConfig,),
     "sweep": (SimConfig,),
     "fleet": (SimConfig, FleetConfig),
