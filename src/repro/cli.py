@@ -14,12 +14,14 @@ Commands:
   cell's metrics snapshot);
 * ``fleet`` — N tenants co-located on a shared 2- or 3-tier hierarchy
   with QoS bandwidth arbitration and DRAM→CXL→pooled demotion chains,
-  tenants sharded across worker processes with ``--jobs``;
+  stepped in lockstep;
 * ``metrics`` — pretty-print one metrics snapshot, or diff two;
 * ``profile`` — PAC/WAC offline profile (page heat + word sparsity);
-* ``verify`` — the differential oracle pairs (exact vs batched sketch,
-  PAC cache vs direct mode, instant vs async-unlimited migration) with
-  per-field drift tolerances; non-zero exit on any drift;
+* ``verify`` — the seven differential oracle pairs (exact vs batched
+  sketch, PAC cache vs direct mode, instant vs async-unlimited
+  migration, reference vs batched engine, per-access vs vectorized
+  kernels, 1-tenant fleet vs single run, uninterrupted vs resumed run)
+  with per-field drift tolerances; non-zero exit on any drift;
 * ``hwcost`` — the Table 4 tracker cost model.
 """
 
@@ -59,11 +61,9 @@ from repro.sim import (
     SimConfig,
     Simulation,
     TelemetryBus,
-    collect_fleet,
     collect_matrix,
     matrix_means,
     normalized,
-    run_matrix,
 )
 from repro.sim.config import Flag
 from repro.workloads import registry
@@ -508,12 +508,9 @@ def cmd_compare(args) -> int:
             registry.build(args.bench, seed=config.seed), config,
             policy=policy,
         ).run()
-        if base.p99_latency_us and result.p99_latency_us:
-            norm = base.p99_latency_us / result.p99_latency_us
-        else:
-            norm = base.execution_time_s / result.execution_time_s
-        rows.append([policy, result.execution_time_s, norm,
-                     result.promoted, result.demoted])
+        rows.append([policy, result.execution_time_s,
+                     normalized(base, result), result.promoted,
+                     result.demoted])
     print_table(
         f"{args.bench}: performance normalised to no migration",
         ["policy", "exec_s", "norm", "promoted", "demoted"],
@@ -543,59 +540,54 @@ def cmd_sweep(args) -> int:
     # for the worker processes (a closure over ``args`` would not be).
     factory = functools.partial(SimConfig, checkpoints=1, **kwargs)
     config = _checked(factory)  # reject bad values before any cell runs
-    if args.metrics or serve:
-        with contextlib.ExitStack() as stack:
-            on_result = None
-            if serve:
-                # One live endpoint over the whole matrix: each cell's
-                # snapshot lands in the aggregate registry (labelled by
-                # bench/policy) the moment the worker returns it.
-                aggregate = MetricsRegistry(enabled=True)
+    on_result = None
+    with contextlib.ExitStack() as stack:
+        if serve:
+            # One live endpoint over the whole matrix: each cell's
+            # snapshot lands in the aggregate registry (labelled by
+            # bench/policy) the moment the worker returns it.
+            aggregate = MetricsRegistry(enabled=True)
 
-                def on_result(bench: str, policy: str, result) -> None:
-                    if result.metrics:
-                        aggregate.merge(
-                            result.metrics,
-                            extra_labels={"bench": bench, "policy": policy},
-                        )
+            def on_result(bench: str, policy: str, result) -> None:
+                if result.metrics:
+                    aggregate.merge(
+                        result.metrics,
+                        extra_labels={"bench": bench, "policy": policy},
+                    )
 
-                server = stack.enter_context(
-                    ObsServer(aggregate, port=serve_port)
-                )
-                print(f"live metrics  : {server.url}/metrics  "
-                      "(cells appear as they finish)", flush=True)
-            results = collect_matrix(
-                benches, policies, factory, seed=config.seed, jobs=args.jobs,
-                with_metrics=True, on_result=on_result,
+            server = stack.enter_context(
+                ObsServer(aggregate, port=serve_port)
             )
-            if serve and args.serve_linger > 0:
-                print(f"sweep finished; serving final aggregate for "
-                      f"{args.serve_linger:g}s", flush=True)
-                time.sleep(args.serve_linger)
-        matrix = {
+            print(f"live metrics  : {server.url}/metrics  "
+                  "(cells appear as they finish)", flush=True)
+        results = collect_matrix(
+            benches, policies, factory, seed=config.seed, jobs=args.jobs,
+            with_metrics=bool(args.metrics or serve), on_result=on_result,
+        )
+        if serve and args.serve_linger > 0:
+            print(f"sweep finished; serving final aggregate for "
+                  f"{args.serve_linger:g}s", flush=True)
+            time.sleep(args.serve_linger)
+    matrix = {
+        bench: {
+            p: normalized(results[bench]["none"], results[bench][p])
+            for p in policies
+        }
+        for bench in benches
+    }
+    if args.metrics:
+        cell_metrics = {
             bench: {
-                p: normalized(results[bench]["none"], results[bench][p])
-                for p in policies
+                policy: result.metrics
+                for policy, result in results[bench].items()
             }
             for bench in benches
         }
-        if args.metrics:
-            cell_metrics = {
-                bench: {
-                    policy: result.metrics
-                    for policy, result in results[bench].items()
-                }
-                for bench in benches
-            }
-            with open(args.metrics, "w") as fh:
-                json.dump(cell_metrics, fh, indent=2)
-            n_cells = sum(len(row) for row in cell_metrics.values())
-            print(f"per-cell metrics written to {args.metrics} "
-                  f"({n_cells} cells)")
-    else:
-        matrix = run_matrix(
-            benches, policies, factory, seed=config.seed, jobs=args.jobs
-        )
+        with open(args.metrics, "w") as fh:
+            json.dump(cell_metrics, fh, indent=2)
+        n_cells = sum(len(row) for row in cell_metrics.values())
+        print(f"per-cell metrics written to {args.metrics} "
+              f"({n_cells} cells)")
     rows = [[bench] + [matrix[bench][p] for p in policies] for bench in benches]
     means = matrix_means(matrix)
     rows.append(["mean"] + [means[p] for p in policies])
@@ -609,7 +601,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    from repro.fleet import MAX_TENANTS
+    from repro.fleet import MAX_TENANTS, FleetSimulation
 
     fleet = config_from(args, FleetConfig)
     config = config_from(args, SimConfig, checkpoints=1)
@@ -618,52 +610,40 @@ def cmd_fleet(args) -> int:
     if unknown_benches:
         print(f"unknown benchmarks: {', '.join(unknown_benches)}")
         return 2
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1 (got {args.jobs})")
-        return 2
     if fleet.tenants > MAX_TENANTS:
         print(f"--tenants is capped at {MAX_TENANTS} by the per-tenant "
               "physical-address windows")
         return 2
-    with_metrics = bool(args.out) or bool(args.metrics) or config.serve
-    watchdog = None
-    if config.serve or args.trace:
-        # The live/trace path needs the in-process lockstep fleet: the
-        # server scrapes its merged per-tenant snapshot mid-run and
-        # the tracer collects per-tenant spans.
-        from repro.fleet import FleetSimulation
-
-        fsim = FleetSimulation(
-            fleet,
-            config,
-            obs=Observability(metrics=with_metrics, tracing=False),
-            tenant_metrics=with_metrics,
-            tenant_tracing=bool(args.trace),
-        )
-        watchdog = fsim.watchdog
-        with contextlib.ExitStack() as stack:
-            if config.serve:
-                server = stack.enter_context(
-                    ObsServer(fsim.merged_snapshot, port=config.serve_port)
-                )
-                print(f"live metrics  : {server.url}/metrics  "
-                      "(per-tenant labelled series)", flush=True)
-            result = fsim.run()
-            if config.serve and args.serve_linger > 0:
-                print(f"fleet finished; serving final snapshot for "
-                      f"{args.serve_linger:g}s", flush=True)
-                time.sleep(args.serve_linger)
-        if args.trace:
-            trace = merged_chrome_trace(fsim.tenant_spans())
-            with open(args.trace, "w") as fh:
-                json.dump(trace, fh)
-            print(f"fleet chrome trace written to {args.trace} "
-                  f"({len(trace['traceEvents'])} span events, one process "
-                  "row per tenant; load in chrome://tracing)")
-    else:
-        result = collect_fleet(
-            fleet, config, jobs=args.jobs, with_metrics=with_metrics,
-        )
+    # Every consumer of the registry needs one: the written snapshots,
+    # the live endpoint, and the recorder the SLO watchdog reads.
+    with_metrics = bool(args.out or args.metrics or config.serve
+                        or config.record_series or config.slo_rules)
+    fsim = FleetSimulation(
+        fleet,
+        config,
+        obs=Observability(metrics=with_metrics, tracing=False),
+        tenant_metrics=with_metrics,
+        tenant_tracing=bool(args.trace),
+    )
+    with contextlib.ExitStack() as stack:
+        if config.serve:
+            server = stack.enter_context(
+                ObsServer(fsim.merged_snapshot, port=config.serve_port)
+            )
+            print(f"live metrics  : {server.url}/metrics  "
+                  "(per-tenant labelled series)", flush=True)
+        result = fsim.run()
+        if config.serve and args.serve_linger > 0:
+            print(f"fleet finished; serving final snapshot for "
+                  f"{args.serve_linger:g}s", flush=True)
+            time.sleep(args.serve_linger)
+    if args.trace:
+        trace = merged_chrome_trace(fsim.tenant_spans())
+        with open(args.trace, "w") as fh:
+            json.dump(trace, fh)
+        print(f"fleet chrome trace written to {args.trace} "
+              f"({len(trace['traceEvents'])} span events, one process "
+              "row per tenant; load in chrome://tracing)")
     tier_names = list(result.results[0].bandwidth_share)
     rows = []
     for t in result.results:
@@ -694,7 +674,7 @@ def cmd_fleet(args) -> int:
         )
         print(f"invariants    : {checks:.0f} checks, "
               f"{violations:.0f} violations")
-    _print_slo_summary(watchdog)
+    _print_slo_summary(fsim.watchdog)
     if args.out:
         payload = result.as_dict()
         payload["metrics"] = result.metrics
@@ -976,10 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_args(fleet, FleetConfig, FLEET_FIELDS)
     add_config_args(fleet, SimConfig, FLEET_SIM_FIELDS)
     add_linger_arg(fleet)
-    fleet.add_argument("--jobs", type=int, default=1,
-                       help="worker processes to shard tenants across "
-                            "(bandwidth-coupled fleets run in lockstep "
-                            "regardless)")
     fleet.add_argument("--out", default=None, metavar="FILE",
                        help="write the fleet summary + per-tenant metric "
                             "rows as JSON (the CI snapshot artifact)")
@@ -989,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--trace", default=None, metavar="FILE",
                        help="write per-tenant pipeline spans as one "
                             "chrome://tracing JSON (one process row per "
-                            "tenant; forces the lockstep path)")
+                            "tenant)")
 
     metrics = sub.add_parser(
         "metrics", help="pretty-print one metrics snapshot, or diff two"
@@ -1014,7 +990,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify",
         help="run the differential oracle pairs (exact vs batched sketch, "
-             "PAC cache vs direct, instant vs async-unlimited migration)",
+             "PAC cache vs direct, instant vs async-unlimited migration, "
+             "reference vs batched engine, per-access vs vectorized "
+             "kernels, 1-tenant fleet vs single run, uninterrupted vs "
+             "resumed run)",
     )
     verify.add_argument("--oracles",
                         default="sketch,pac,migration,engine,kernels,fleet,"

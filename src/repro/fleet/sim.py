@@ -27,16 +27,6 @@ A 1-tenant fleet never arbitrates (the factors path is skipped
 entirely, not computed-then-ignored), so a 1-tenant, 2-tier fleet is
 bit-identical to the single-run engine — enforced by the ``fleet``
 differential oracle in :mod:`repro.verify`.
-
-Sharding: tenants are only *coupled* through bandwidth arbitration,
-and the arbiter's input — each tenant's demand trace — is a pure
-per-tenant quantity.  When every channel ceiling is unlimited (the
-default latency-only model) the contention factors are identically
-1.0, so each tenant can run to completion in its own worker process
-(:func:`run_tenant_shard`) and the fleet be reassembled afterwards
-(:func:`assemble_fleet`) by replaying the arbiter over the recorded
-demand traces — bit-identical to the lockstep run.  The sweep layer
-(:func:`repro.sim.sweep.collect_fleet`) picks the path automatically.
 """
 
 from __future__ import annotations
@@ -136,56 +126,6 @@ class FleetResult:
         }
 
 
-@dataclass
-class TenantShard:
-    """One tenant's run plus the demand trace the arbiter replays.
-
-    The picklable unit of work for process-sharded fleets: everything
-    :func:`assemble_fleet` needs to rebuild the tenant's fleet-level
-    accounting without re-running it.
-    """
-
-    tenant: int
-    bench: str
-    seed: int
-    result: RunResult
-    #: Per-epoch, per-tier channel demand (GB/s), in epoch order.
-    demands: List[List[float]]
-    chain: Dict[str, float]
-    slowdown_vs_isolated: float
-    tier_names: List[str]
-    epochs: int
-    #: The tenant's own metrics-registry snapshot (picklable; empty
-    #: unless the shard ran with ``with_metrics``).  The parent merges
-    #: it into the fleet snapshot under a ``tenant`` label.
-    metrics: Dict[str, object] = field(default_factory=dict)
-
-
-# ----------------------------------------------------------------------
-# shared fleet mechanics (used by both the lockstep and sharded paths)
-
-
-def fleet_tier_capacities(fleet: FleetConfig, config: SimConfig) -> List[float]:
-    """Channel capacity per tier position (GB/s, 0 = unlimited)."""
-    caps = [config.ddr_bandwidth_gbps, config.cxl_bandwidth_gbps]
-    if fleet.tiers == 3:
-        caps.append(fleet.pooled_bandwidth_gbps)
-    return caps
-
-
-def is_coupled(fleet: FleetConfig, config: SimConfig) -> bool:
-    """True when bandwidth ceilings couple the tenants' epochs.
-
-    A coupled fleet must run in lockstep — each epoch's contention
-    factors depend on every tenant's previous epoch.  Uncoupled fleets
-    (every ceiling unlimited, or a single tenant) produce factors that
-    are identically 1.0, so tenants can be sharded across processes.
-    """
-    if fleet.tenants <= 1:
-        return False
-    return any(c > 0.0 for c in fleet_tier_capacities(fleet, config))
-
-
 def epoch_demands_gbps(sim: Simulation, epoch_s: float) -> List[float]:
     """One tenant's channel demand per tier for the epoch just run
     (GB/s of 64B-line traffic, dilation-corrected)."""
@@ -206,7 +146,7 @@ def arbitrate_epoch(
 
     Returns the per-tenant contention-factor vectors and accumulates
     each tenant's granted-share fraction of every tier's traffic into
-    ``share_sums`` (the mean-share accounting both fleet paths report).
+    ``share_sums`` (the mean-share accounting the fleet reports).
     """
     tenants = len(demands)
     tiers = len(capacities)
@@ -382,7 +322,9 @@ class FleetSimulation:
         self.weights = fleet.weight_list()
         #: Fleet channel capacities per tier position (GB/s, 0 =
         #: unlimited): what the arbiter divides among tenants.
-        self.tier_capacity_gbps = fleet_tier_capacities(fleet, self.config)
+        self.tier_capacity_gbps = [
+            self.config.ddr_bandwidth_gbps, self.config.cxl_bandwidth_gbps
+        ] + ([fleet.pooled_bandwidth_gbps] if fleet.tiers == 3 else [])
         self.tier_names = [n.name for n in self.sims[0].memory.nodes]
         # Mean-share accumulators, filled by the per-epoch arbiter.
         self._share_sums = [
@@ -565,165 +507,3 @@ class FleetSimulation:
             for t, obs_t in enumerate(self.tenant_obs)
             if obs_t is not None and obs_t.tracing_on
         ]
-
-
-# ----------------------------------------------------------------------
-# the sharded fleet (uncoupled tenants, one worker process each)
-
-
-def run_tenant_shard(
-    fleet: FleetConfig,
-    config: Optional[SimConfig] = None,
-    tenant: int = 0,
-    m5_options: Optional[M5Options] = None,
-    with_metrics: bool = False,
-) -> TenantShard:
-    """Run one tenant of an *uncoupled* fleet to completion.
-
-    The process-pool work unit behind
-    :func:`repro.sim.sweep.collect_fleet`: the tenant steps its own
-    epochs alone (contention factors would be identically 1.0) while
-    recording the per-epoch demand trace the arbiter needs, so
-    :func:`assemble_fleet` can rebuild the exact lockstep accounting.
-    With ``with_metrics`` the tenant gets its own registry and ships
-    the (picklable) snapshot back on :attr:`TenantShard.metrics`.
-    """
-    config = config if config is not None else SimConfig()
-    if is_coupled(fleet, config):
-        raise ValueError(
-            "bandwidth-coupled fleets must run in lockstep: a tenant "
-            "shard cannot see its neighbors' demands"
-        )
-    obs_t = (
-        Observability(metrics=True, tracing=False) if with_metrics else None
-    )
-    bench, seed, sim, chain = _build_tenant(
-        fleet, config, tenant, m5_options, obs=obs_t
-    )
-    st = sim.begin()
-    demands: List[List[float]] = []
-    epochs = 0
-    while st.remaining > 0:
-        epochs += 1
-        sim.step_epoch(st)
-        demands.append(epoch_demands_gbps(sim, st.perf.total_s))
-    result = sim.finalize(st)
-    chain_stats = chain.stats if chain is not None else ChainStats()
-    return TenantShard(
-        tenant=tenant,
-        bench=bench,
-        seed=seed,
-        result=result,
-        demands=demands,
-        chain=chain_stats.as_dict(),
-        slowdown_vs_isolated=sim.perf.slowdown_vs_isolated(),
-        tier_names=[n.name for n in sim.memory.nodes],
-        epochs=epochs,
-        metrics=obs_t.snapshot() if obs_t is not None else {},
-    )
-
-
-def assemble_fleet(
-    fleet: FleetConfig,
-    config: Optional[SimConfig],
-    shards: List[TenantShard],
-    with_metrics: bool = False,
-) -> FleetResult:
-    """Reassemble a sharded fleet into the lockstep's FleetResult.
-
-    Replays the QoS arbiter over the shards' recorded demand traces —
-    epoch ``e``'s demands are arbitrated before epoch ``e+1``, exactly
-    the lockstep lag, and the final epoch's demands are never
-    arbitrated — so the granted-share accounting matches the lockstep
-    run bit for bit.
-    """
-    config = config if config is not None else SimConfig()
-    shards = sorted(shards, key=lambda s: s.tenant)
-    if [s.tenant for s in shards] != list(range(fleet.tenants)):
-        raise ValueError(
-            f"need exactly one shard per tenant 0..{fleet.tenants - 1}, "
-            f"got {[s.tenant for s in shards]}"
-        )
-    weights = fleet.weight_list()
-    capacities = fleet_tier_capacities(fleet, config)
-    tier_names = shards[0].tier_names
-    epochs = max(s.epochs for s in shards)
-    share_sums = [[0.0] * fleet.tiers for _ in range(fleet.tenants)]
-    share_epochs = 0
-    if fleet.tenants > 1:
-        for e in range(epochs - 1):
-            row = [
-                s.demands[e] if e < len(s.demands) else [0.0] * fleet.tiers
-                for s in shards
-            ]
-            arbitrate_epoch(row, weights, capacities, fleet.qos, share_sums)
-            share_epochs += 1
-    obs = (
-        Observability(metrics=True, tracing=False) if with_metrics else NULL_OBS
-    )
-    mx = _register_fleet_metrics(obs)
-    tenant_results: List[TenantResult] = []
-    for s in shards:
-        if share_epochs > 0:
-            shares = {
-                name: share_sums[s.tenant][k] / share_epochs
-                for k, name in enumerate(tier_names)
-            }
-        else:
-            shares = {name: 1.0 for name in tier_names}
-        tenant_result = TenantResult(
-            tenant=s.tenant,
-            bench=s.bench,
-            seed=s.seed,
-            weight=weights[s.tenant],
-            result=s.result,
-            slowdown_vs_isolated=s.slowdown_vs_isolated,
-            bandwidth_share=shares,
-            chain=s.chain,
-        )
-        tenant_results.append(tenant_result)
-        if obs.metrics_on:
-            _emit_tenant_metrics(mx, tenant_result)
-    metrics: Dict[str, object] = {}
-    if obs.metrics_on:
-        # Merge the shards' shipped registries under tenant labels —
-        # the same shape FleetSimulation.merged_snapshot() builds for
-        # the lockstep path, so sharded stays snapshot-identical.
-        if any(s.metrics for s in shards):
-            merged = MetricsRegistry(enabled=True)
-            merged.merge(obs.registry.snapshot())
-            for s in shards:
-                if s.metrics:
-                    merged.merge(
-                        s.metrics, extra_labels={"tenant": str(s.tenant)}
-                    )
-            metrics = merged.snapshot()
-        else:
-            metrics = obs.snapshot()
-    return FleetResult(
-        tenants=fleet.tenants,
-        tiers=fleet.tiers,
-        policy=fleet.policy,
-        qos=fleet.qos,
-        engine=config.engine,
-        epochs=epochs,
-        results=tenant_results,
-        metrics=metrics,
-    )
-
-
-def run_fleet(
-    fleet: FleetConfig,
-    config: Optional[SimConfig] = None,
-    m5_options: Optional[M5Options] = None,
-    with_metrics: bool = False,
-) -> FleetResult:
-    """Convenience one-shot lockstep fleet runner (picklable)."""
-    obs = Observability(metrics=True, tracing=False) if with_metrics else None
-    return FleetSimulation(
-        fleet,
-        config=config,
-        m5_options=m5_options,
-        obs=obs,
-        tenant_metrics=with_metrics,
-    ).run()

@@ -339,12 +339,12 @@ class MetricsRegistry:
     ) -> None:
         """Fold a registry ``snapshot()`` into this registry.
 
-        The fleet-aggregation primitive: worker processes (sweep
-        cells, fleet tenant shards) ship their picklable snapshot
-        dicts back to the parent, which merges them into one registry
-        — optionally widened by ``extra_labels`` (e.g. ``{"tenant":
-        "3"}``) so same-named series from different workers stay
-        distinct.  Counters and histograms accumulate; gauges take the
+        The aggregation primitive: sweep cells ship their picklable
+        snapshot dicts back from worker processes, and the fleet reads
+        one snapshot per tenant registry; either way they merge into
+        one registry — optionally widened by ``extra_labels`` (e.g.
+        ``{"tenant": "3"}``) so same-named series from different
+        sources stay distinct.  Counters and histograms accumulate; gauges take the
         incoming value (last write wins).  No-op on a disabled
         registry.
 

@@ -21,7 +21,6 @@ from repro.sim.engine import (
 from repro.sim.perf import EpochPerf, PerformanceModel
 from repro.sim.sweep import (
     cell_seed,
-    collect_fleet,
     collect_matrix,
     matrix_means,
     normalized,
@@ -52,7 +51,6 @@ __all__ = [
     "EpochPerf",
     "PerformanceModel",
     "cell_seed",
-    "collect_fleet",
     "collect_matrix",
     "matrix_means",
     "normalized",

@@ -959,8 +959,8 @@ class Simulation:
         left by :meth:`load_state`, else a fresh one.
 
         Also binds the tracer to it (simulated clock, telemetry bus).
-        Every driver — :meth:`run`, the fleet's lockstep loop and its
-        tenant shards, service streams — calls ``begin`` once, then
+        Every driver — :meth:`run`, the fleet's lockstep loop, service
+        streams — calls ``begin`` once, then
         :meth:`step_epoch` per epoch, then :meth:`finalize`.
         """
         if self._resume_state is not None:

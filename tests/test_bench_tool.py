@@ -1,8 +1,8 @@
 """``tools/bench.py``: the shared header, the identity check, cleanup.
 
 Each leg runs at a tiny size here (a few 16384-access epochs, one
-repeat, the fleet at 1 and 2 tenants); the gates' verdicts at that size
-are not asserted, only what the harness records and returns.
+repeat); the gates' verdicts at that size are not asserted, only what
+the harness records and returns.
 """
 
 import functools
@@ -32,12 +32,10 @@ def tiny_legs(bench):
         # five epochs, so the checkpoint variant writes once
         "overhead": functools.partial(bench.overhead, accesses=5 * EPOCH,
                                       repeats=1),
-        "fleet": functools.partial(bench.fleet, accesses=3 * EPOCH,
-                                   tenant_counts=(1, 2)),
     }
 
 
-@pytest.mark.parametrize("leg", ["engine", "overhead", "fleet"])
+@pytest.mark.parametrize("leg", ["engine", "overhead"])
 def test_every_record_carries_the_common_header(bench, leg):
     record = tiny_legs(bench)[leg]()
     assert record["leg"] == leg

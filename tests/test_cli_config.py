@@ -91,7 +91,7 @@ def built(monkeypatch):
         raise _Built
 
     monkeypatch.setattr(cli, "Simulation", simulation)
-    monkeypatch.setattr(cli, "run_matrix", matrix)
+    monkeypatch.setattr(cli, "collect_matrix", matrix)
 
     def build(*argv):
         with pytest.raises(_Built):

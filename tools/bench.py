@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""One bench harness: ``python tools/bench.py engine|fleet|overhead``.
+"""One bench harness: ``python tools/bench.py engine|overhead``.
 
 Each leg runs at its fixed CI size and writes ``BENCH_<leg>.json`` at
 the repo root.  Every record starts with the same header: ``leg``,
@@ -17,17 +17,10 @@ the repo root.  Every record starts with the same header: ``leg``,
   ``MIN_COVERAGE`` of the run, and the invariant catalogue must find
   no violation.  ``budgets`` records each variant's ``ratio``,
   ``limit_s`` and ``slack_share`` (the slack's part of the limit).
-* ``fleet`` — a ``mcf,roms`` fleet on 3 tiers at 1, 2, 4 and 8 tenants,
-  sharded over ``min(tenants, cpus)`` processes, each count timed once,
-  cold, in order.  An N-tenant fleet must finish in under N x 0.9 the
-  1-tenant wall clock (N x 1.3 without a second core to shard onto).
-  No two tenant counts simulate the same system, so nothing is compared
-  and ``identical`` is true by construction; shard == lockstep is
-  pinned by ``test_sharded_fleet_matches_lockstep``.
 
-``engine`` and ``overhead`` run one warm-up, then ``repeats``
-interleaved rounds over their variants, so CPU frequency drift hits
-every variant alike, and compare medians.  Every variant must be
+Both legs run one warm-up, then ``repeats`` interleaved rounds over
+their variants, so CPU frequency drift hits every variant alike, and
+compare medians.  Every variant must be
 bit-identical to the leg's first (baseline) variant on
 ``IDENTITY_FIELDS``: an engine or an observer may change how fast a
 run is, never what it computes.
@@ -48,7 +41,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.obs import Observability  # noqa: E402
-from repro.sim import FleetConfig, SimConfig, Simulation, collect_fleet  # noqa: E402
+from repro.sim import SimConfig, Simulation  # noqa: E402
 from repro.workloads import registry  # noqa: E402
 
 #: Where ``main`` writes ``BENCH_<leg>.json``.
@@ -94,14 +87,6 @@ TOLERANCE = 0.05
 INVARIANT_TOLERANCE = 0.10
 SLACK_S = 0.05
 MIN_COVERAGE = 0.95
-
-FLEET_BENCHES = "mcf,roms"
-FLEET_TIERS = 3
-
-
-def cpu_count() -> int:
-    """Logical CPUs on this host (always at least 1)."""
-    return os.cpu_count() or 1
 
 
 def simulation(bench, policy, config, seed=SEED, obs=None, wac=False,
@@ -156,7 +141,7 @@ def identical(last) -> bool:
 
 def header(leg, repeats, params, medians, same, ok):
     """The keys every record starts with."""
-    return {"leg": leg, "cpu_count": cpu_count(), "repeats": repeats,
+    return {"leg": leg, "cpu_count": os.cpu_count() or 1, "repeats": repeats,
             **params,
             "medians_s": {str(k): round(v, 4) for k, v in medians.items()},
             "identical": same, "ok": ok}
@@ -264,44 +249,7 @@ def overhead(accesses=400_000, repeats=5):
             "invariant_checks": checks, "invariant_violations": violations}
 
 
-def fleet(accesses=200_000, tenant_counts=(1, 2, 4, 8)):
-    """Fleet throughput against tenant count (see the module docstring)."""
-    params = {"benches": FLEET_BENCHES, "tiers": FLEET_TIERS,
-              "accesses_per_tenant": accesses,
-              "tenant_counts": list(tenant_counts)}
-    config = SimConfig(total_accesses=accesses, chunk_size=CHUNK, seed=SEED)
-    medians, legs = {}, []
-    for tenants in tenant_counts:
-        jobs = min(tenants, cpu_count())
-        start = time.perf_counter()
-        result = collect_fleet(
-            FleetConfig(tenants=tenants, tiers=FLEET_TIERS,
-                        bench=FLEET_BENCHES),
-            config, jobs=jobs)
-        wall_s = medians[tenants] = time.perf_counter() - start
-        # wall(N) / wall(1): 1.0 = free co-location, N = fully serial.
-        degradation = wall_s / medians[tenant_counts[0]]
-        sublinear = tenants == 1 or degradation < tenants * (
-            0.9 if jobs >= 2 else 1.3)
-        legs.append({
-            "tenants": tenants,
-            "jobs": jobs,
-            "epochs": result.epochs,
-            "wall_s": round(wall_s, 3),
-            "per_tenant_accesses_per_s": round(accesses / wall_s, 1),
-            "degradation_vs_one_tenant": round(degradation, 3),
-            "sublinear": sublinear,
-        })
-        print(f"tenants={tenants:2d} jobs={jobs:2d}: {wall_s:7.2f} s  "
-              f"({accesses / wall_s:12,.0f} acc/s/tenant, "
-              f"x{degradation:.2f} vs 1 tenant, "
-              f"{'ok' if sublinear else 'FAIL'})")
-    ok = all(leg["sublinear"] for leg in legs)
-    return {**header("fleet", 1, params, medians, True, ok),
-            "legs": legs, "sublinear_scaling": ok}
-
-
-LEGS = {"engine": engine, "fleet": fleet, "overhead": overhead}
+LEGS = {"engine": engine, "overhead": overhead}
 
 
 def main(argv=None) -> int:
